@@ -5,15 +5,16 @@
 // run is checked bit-for-bit against a single-threaded reference execution of
 // the same workload (the re-forward oracle when decode traffic is present).
 //
-// Execution model: --mode picks auto | mega-batch | per-request | chunked;
-// --prefill-chunk bounds prompt rows per chunked step; --decode /
-// --decode-tokens add per-request decode budgets to the workload (which
-// force chunked execution under auto).
+// Execution model: every request takes the one step-scheduler path;
+// --prefill-chunk bounds prompt rows per prefill step (0 = whole prompt);
+// --decode / --decode-tokens add per-request decode budgets to the workload.
 //
-// With --compare=true it additionally sweeps mega-batch (packed cross-request
-// forwards + row-partitioned norms) against the per-request execution model
-// over batch size × prompt length × workers, closed-loop, and can gate on the
-// batch >= 8 speedup (--min-mega-speedup). With --decode-sweep=true it sweeps
+// With --compare=true it additionally sweeps packed execution (max_batch = N:
+// cross-request forwards + row-partitioned norms) against per-request
+// execution (max_batch = 1) over batch size × prompt length × workers,
+// closed-loop, and can gate on the batch >= 8 speedup (--min-mega-speedup)
+// and norm-call amortization (--min-pack-amortization). With
+// --decode-sweep=true it sweeps
 // decode mixes (decode budget × prefill chunk) closed-loop, reporting TTFT
 // p50/p99, inter-token p99 and the prefill:decode row split, verifying every
 // cell bit-for-bit against the reference oracle (the CI decode gate).
@@ -45,9 +46,9 @@
 // Observability: --trace-out exports the run as Chrome Trace Event JSON
 // (Perfetto-loadable) and cross-checks it against the report (per-thread
 // begin/end balance, one flow start+finish per request, sum of forward spans
-// within 5% of the compute total); --stats-interval / --stats-json stream
-// live snapshots during the run; --max-trace-overhead gates the cost of
-// enabled tracing against an untraced run (best-of-2 closed-loop walls).
+// within 5% of the packed forward total); --stats-interval / --stats-json
+// stream live snapshots during the run; --max-trace-overhead gates the cost
+// of enabled tracing against an untraced run (best-of-2 closed-loop walls).
 //
 //   ./build/bench/serve_throughput --norm=haan --workers=4 --scenario=steady
 //       --seed=1 --compare=true --json=bench/serve_baseline.json
@@ -76,7 +77,9 @@ using namespace haan;
 
 namespace {
 
-/// One cell of the mega-batch vs per-request sweep.
+/// One cell of the packed (max_batch = N) vs per-request (max_batch = 1)
+/// sweep. Field and JSON names keep the historical mega/per_request labels so
+/// older reports stay comparable.
 struct CompareCell {
   std::size_t max_batch = 0;
   std::size_t prompt_len = 0;
@@ -84,8 +87,8 @@ struct CompareCell {
   double mega_rps = 0.0;
   double per_request_rps = 0.0;
   double speedup = 0.0;  ///< wall-clock; needs spare cores to exceed 1
-  /// Mean rows per batched norm-provider call in each mode — the dispatch
-  /// amortization the mega-batch seam exists for. Deterministic (a pure
+  /// Mean rows per batched norm-provider call on each side — the dispatch
+  /// amortization packing exists for. Deterministic (a pure
   /// function of packing), unlike the wall-clock speedup.
   double mega_rows_per_call = 0.0;
   double per_request_rows_per_call = 0.0;
@@ -170,7 +173,7 @@ PolicyCell run_policy_cell(serve::ServerConfig config,
 }
 
 /// One cell of the decode-mix sweep: a decode budget (0 = prefill-only) per
-/// request, served chunked with the given prefill chunk.
+/// request, served with the given prefill chunk.
 struct DecodeCell {
   std::size_t decode_tokens = 0;
   std::size_t prefill_chunk = 0;
@@ -199,7 +202,6 @@ DecodeCell run_decode_cell(serve::ServerConfig config,
   workload_config.max_decode = decode_tokens == 0 ? 1 : decode_tokens;
   const auto workload = serve::generate_workload(workload_config);
 
-  config.mode = serve::ExecMode::kChunked;
   config.prefill_chunk = prefill_chunk;
   config.paced = false;
   config.keep_hidden = false;
@@ -228,7 +230,7 @@ struct TraceCheck {
   bool parsed = false;
   bool balanced = false;   ///< every "E" had a "B"; no span left open per tid
   bool flows_ok = false;   ///< one flow start + one finish per served request
-  bool compute_match = false;  ///< Σ forward spans vs Σ packed compute <= 5%
+  bool compute_match = false;  ///< Σ forward spans vs Σ packed forwards <= 5%
   std::uint64_t dropped = 0;
   std::size_t events = 0;
   double forward_span_us = 0.0;
@@ -240,16 +242,12 @@ struct TraceCheck {
 /// Parses `json` (the Chrome trace of `report`'s run) and cross-checks it:
 /// per-thread begin/end balance, exactly one flow start/finish per request,
 /// and — the wall-clock invariant — the summed duration of "forward" spans
-/// matching the metrics' packed compute total within 5% (both time the same
-/// forward_hidden_batch calls with the same monotonic clock; packed requests
-/// share their batch's compute_us, so dedupe by batch sequence). Ring
+/// matching the metrics' packed forward total within 5% (both time the same
+/// forward_hidden_batch calls with the same monotonic clock). Ring
 /// wrap-around (dropped > 0) voids the duration sums, so the 5% gate only
-/// applies to loss-free traces. In chunked mode sessions accumulate every
-/// pack they rode across the run (a shared pack's duration lands in several
-/// sessions), so no per-result dedup can reconstruct the forward total and
-/// the 5% gate is skipped — balance and flow checks still apply.
+/// applies to loss-free traces.
 TraceCheck check_trace(const std::string& json, const serve::ServeReport& report,
-                       serve::ExecMode mode, std::uint64_t dropped) {
+                       std::uint64_t dropped) {
   TraceCheck check;
   check.dropped = dropped;
   const auto parsed = common::Json::parse(json);
@@ -291,23 +289,7 @@ TraceCheck check_trace(const std::string& json, const serve::ServeReport& report
   check.flows_ok = flow_starts == report.results.size() &&
                    flow_finishes == report.results.size();
 
-  if (mode == serve::ExecMode::kChunked) {
-    check.compute_match = true;
-    return check;
-  }
-  if (mode == serve::ExecMode::kMegaBatch) {
-    // Every request in a pack carries the pack's compute_us: count each batch
-    // sequence once.
-    std::map<std::uint64_t, double> by_batch;
-    for (const serve::RequestResult& result : report.results) {
-      by_batch.emplace(result.batch, result.compute_us);
-    }
-    for (const auto& [batch, us] : by_batch) check.compute_total_us += us;
-  } else {
-    for (const serve::RequestResult& result : report.results) {
-      check.compute_total_us += result.compute_us;
-    }
-  }
+  check.compute_total_us = report.metrics.packed_forward_us;
   const double rel =
       check.compute_total_us > 0.0
           ? std::abs(check.forward_span_us - check.compute_total_us) /
@@ -431,17 +413,10 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1", "workload seed");
   cli.add_flag("paced", "true", "honor Poisson arrival times (open-loop)");
   cli.add_flag("calibrate", "true", "calibrate a skip plan at startup");
-  cli.add_flag("mega-batch", "true",
-               "pack whole scheduler batches into one cross-request forward");
-  cli.add_flag("mode", "auto",
-               "execution model: auto | mega-batch | per-request | chunked "
-               "(auto resolves by decode demand, HAAN_PREFILL_CHUNK and "
-               "--mega-batch)");
   cli.add_flag("prefill-chunk", "0",
-               "prompt rows per chunked prefill step (0 = whole remainder)");
+               "prompt rows per prefill step (0 = whole remainder)");
   cli.add_flag("decode", "none",
-               "per-request decode budget: none | fixed | geometric "
-               "(forces chunked execution under --mode=auto)");
+               "per-request decode budget: none | fixed | geometric");
   cli.add_flag("decode-tokens", "8", "fixed decode length / geometric mean");
   cli.add_flag("max-decode", "64", "cap on sampled decode lengths");
   cli.add_flag("decode-sweep", "false",
@@ -469,20 +444,22 @@ int main(int argc, char** argv) {
   cli.add_flag("verify", "true",
                "compare against a single-threaded reference, bit-for-bit");
   cli.add_flag("compare", "false",
-               "sweep mega-batch vs per-request over batch x length x workers");
+               "sweep max_batch=N vs max_batch=1 over batch x length x "
+               "workers");
   cli.add_flag("compare-requests", "240", "requests per comparison cell");
   cli.add_flag("min-mega-speedup", "0",
-               "fail unless the geomean batch>=8 wall-clock mega-batch speedup "
-               "reaches this (e.g. 1.05; 0 disables; needs spare cores for the "
-               "row/span pools; implies --compare)");
+               "fail unless the geomean batch>=8 wall-clock packed speedup "
+               "(max_batch=N / max_batch=1) reaches this (e.g. 1.05; 0 "
+               "disables; needs spare cores for the row/span pools; implies "
+               "--compare)");
   cli.add_flag("min-pack-amortization", "0",
                "fail unless the geomean batch>=8 rows-per-batched-norm-call "
-               "ratio (mega / per-request) reaches this (e.g. 4; 0 disables; "
-               "deterministic on any machine; implies --compare)");
+               "ratio (max_batch=N / max_batch=1) reaches this (e.g. 4; 0 "
+               "disables; deterministic on any machine; implies --compare)");
   cli.add_flag("trace-out", "",
                "trace the serve run and export Chrome/Perfetto JSON to this "
                "path, self-checking span balance, per-request flow links and "
-               "forward-span wall time vs packed compute (5%)");
+               "forward-span wall time vs packed forwards (5%)");
   cli.add_flag("stats-interval", "0",
                "emit a live metrics snapshot (log line, component \"stats\") "
                "every N ms while the run is in flight (0 disables)");
@@ -559,23 +536,6 @@ int main(int argc, char** argv) {
   }
   config.paced = cli.get_bool("paced");
   config.calibrate = cli.get_bool("calibrate");
-  config.mega_batch = cli.get_bool("mega-batch");
-  const std::string mode_name = cli.get("mode");
-  if (mode_name == "auto") {
-    config.mode = serve::ExecMode::kAuto;
-  } else if (mode_name == "mega-batch") {
-    config.mode = serve::ExecMode::kMegaBatch;
-  } else if (mode_name == "per-request") {
-    config.mode = serve::ExecMode::kPerRequest;
-  } else if (mode_name == "chunked") {
-    config.mode = serve::ExecMode::kChunked;
-  } else {
-    std::fprintf(stderr,
-                 "unknown --mode '%s' (expected auto | mega-batch | "
-                 "per-request | chunked)\n",
-                 mode_name.c_str());
-    return 1;
-  }
   config.prefill_chunk =
       static_cast<std::size_t>(cli.get_int("prefill-chunk"));
   config.norm_threads = static_cast<std::size_t>(cli.get_int("norm-threads"));
@@ -678,9 +638,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "failed to write %s\n", trace_out.c_str());
       return 1;
     }
-    trace_check =
-        check_trace(trace_json, report, server.resolve_mode(workload),
-                    stats.dropped);
+    trace_check = check_trace(trace_json, report, stats.dropped);
     trace_ok = trace_check.ok();
     std::printf(
         "trace            : %s -> %zu events on %zu threads (%llu dropped)\n",
@@ -688,7 +646,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.dropped));
     std::printf(
         "trace check      : %s (balanced %s, flows %s; forward spans %.1f ms "
-        "vs packed compute %.1f ms; norm spans %.1f ms = %.1f%% of forward)\n",
+        "vs packed forwards %.1f ms; norm spans %.1f ms = %.1f%% of forward)\n",
         trace_ok ? "PASS" : "FAIL", trace_check.balanced ? "yes" : "NO",
         trace_check.flows_ok ? "yes" : "NO", trace_check.forward_span_us / 1e3,
         trace_check.compute_total_us / 1e3, trace_check.norm_span_us / 1e3,
@@ -775,7 +733,7 @@ int main(int argc, char** argv) {
         p99_ok ? "PASS" : "FAIL", report.metrics.total.p99_us, max_p99_us);
   }
 
-  // --- Mega-batch vs per-request sweep -----------------------------------
+  // --- Packed (max_batch = N) vs per-request (max_batch = 1) sweep --------
   const double min_mega_speedup = cli.get_double("min-mega-speedup");
   const double min_pack_amortization = cli.get_double("min-pack-amortization");
   const bool compare = cli.get_bool("compare") || min_mega_speedup > 0.0 ||
@@ -791,11 +749,11 @@ int main(int argc, char** argv) {
     const std::size_t prompt_lens[] = {16, 48};
     const std::size_t worker_counts[] = {1, 4};
     std::printf(
-        "\n=== mega-batch vs per-request (closed loop, %zu requests/cell) "
+        "\n=== max_batch=N vs max_batch=1 (closed loop, %zu requests/cell) "
         "===\n", cell_requests);
     std::printf("%9s %5s %7s %12s %12s %8s %10s %10s %7s\n", "max_batch", "len",
-                "workers", "mega req/s", "per-req r/s", "speedup", "rows/call",
-                "(per-req)", "amort");
+                "workers", "N req/s", "1 req/s", "speedup", "rows/call",
+                "(batch 1)", "amort");
     double speedup_log_sum = 0.0, amortization_log_sum = 0.0;
     std::size_t gated_cells = 0;
     for (const std::size_t max_batch : batch_sizes) {
@@ -821,9 +779,8 @@ int main(int argc, char** argv) {
           cell.max_batch = max_batch;
           cell.prompt_len = len;
           cell.workers = workers;
-          cell_config.mega_batch = true;
           const serve::ServeMetrics mega = closed_loop_metrics(cell_config, requests);
-          cell_config.mega_batch = false;
+          cell_config.scheduler.max_batch = 1;
           const serve::ServeMetrics per = closed_loop_metrics(cell_config, requests);
           cell.mega_rps = mega.throughput_rps;
           cell.per_request_rps = per.throughput_rps;
@@ -861,7 +818,7 @@ int main(int argc, char** argv) {
     if (min_mega_speedup > 0.0) {
       const bool ok = speedup_geomean >= min_mega_speedup;
       mega_gate_ok = mega_gate_ok && ok;
-      std::printf("mega speedup gate: %s (%.2fx, >= %.2fx required)\n",
+      std::printf("batch speedup gate: %s (%.2fx, >= %.2fx required)\n",
                   ok ? "PASS" : "FAIL", speedup_geomean, min_mega_speedup);
     }
     if (min_pack_amortization > 0.0) {
@@ -893,7 +850,7 @@ int main(int argc, char** argv) {
     sweep_config.preset_plan = server.plan();
 
     std::printf(
-        "\n=== decode mix sweep (chunked, closed loop, %zu requests/cell) "
+        "\n=== decode mix sweep (closed loop, %zu requests/cell) "
         "===\n", sweep_requests);
     std::printf("%7s %6s %9s %10s %10s %12s %14s %9s\n", "decode", "chunk",
                 "req/s", "ttft p50", "ttft p99", "intertok p99",
@@ -952,11 +909,10 @@ int main(int argc, char** argv) {
 
     serve::ServerConfig sweep_config = config;
     // One calibration for every cell (the plan depends only on the model),
-    // packed whole-request execution, and a row budget both prompt lengths
-    // divide exactly.
+    // whole-prompt steps, and a row budget both prompt lengths divide
+    // exactly.
     sweep_config.calibrate = false;
     sweep_config.preset_plan = server.plan();
-    sweep_config.mode = serve::ExecMode::kMegaBatch;
     sweep_config.prefill_chunk = 0;
     sweep_config.stats_interval_ms = 0;
     sweep_config.scheduler.max_batch = 16;
@@ -1254,9 +1210,6 @@ int main(int argc, char** argv) {
     cfg["tenant_rate_rps"] = workload_config.tenant_rate_rps;
     cfg["queue_capacity"] = config.queue_capacity;
     cfg["paced"] = config.paced;
-    cfg["mega_batch"] = config.mega_batch;
-    cfg["mode"] = mode_name;
-    cfg["resolved_mode"] = serve::to_string(server.resolve_mode(workload));
     cfg["prefill_chunk"] = config.prefill_chunk;
     cfg["decode_model"] = serve::to_string(workload_config.decode_model);
     cfg["decode_tokens"] = workload_config.decode_tokens;
@@ -1329,7 +1282,7 @@ int main(int argc, char** argv) {
       cmp["min_mega_speedup"] = min_mega_speedup;
       cmp["min_pack_amortization"] = min_pack_amortization;
       cmp["gate_ok"] = mega_gate_ok;
-      doc["mega_batch_compare"] = cmp;
+      doc["batch_compare"] = cmp;
     }
     if (decode_sweep) {
       common::Json::Array sweep;

@@ -116,6 +116,7 @@ common::Json ServeMetrics::to_json() const {
   out["packed_forwards"] = static_cast<std::size_t>(packed_forwards);
   out["packed_rows"] = packed_rows;
   out["packed_sequences"] = packed_sequences;
+  out["packed_forward_us"] = packed_forward_us;
   out["rows_per_pack"] = rows_per_pack();
   out["pack_occupancy"] = pack_occupancy();
   out["prefill_rows"] = prefill_rows;
@@ -189,7 +190,7 @@ std::string ServeMetrics::to_string() const {
   out << "queue depth      : max " << max_queue_depth << ", mean "
       << common::format_double(mean_queue_depth, 2) << "\n";
   if (packed_forwards > 0) {
-    out << "mega-batch packs : " << packed_forwards << " ("
+    out << "packs            : " << packed_forwards << " ("
         << common::format_double(rows_per_pack(), 1) << " rows/pack, occupancy "
         << common::format_double(pack_occupancy(), 2) << ")\n";
   }
@@ -279,11 +280,13 @@ void MetricsCollector::record_batch(std::size_t batch_size) {
   max_batch_size_ = std::max(max_batch_size_, batch_size);
 }
 
-void MetricsCollector::record_packed(std::size_t rows, std::size_t sequences) {
+void MetricsCollector::record_packed(std::size_t rows, std::size_t sequences,
+                                     double forward_us) {
   std::lock_guard<std::mutex> lock(mu_);
   ++packed_forwards_;
   packed_rows_ += rows;
   packed_sequences_ += sequences;
+  packed_forward_us_ += forward_us;
 }
 
 void MetricsCollector::record_step_pack(std::size_t prefill_rows,
@@ -308,12 +311,6 @@ void MetricsCollector::record_ttft(double us) {
 void MetricsCollector::record_intertoken(double us) {
   std::lock_guard<std::mutex> lock(mu_);
   intertoken_us_.record(us);
-}
-
-void MetricsCollector::record_kv_bytes(std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  kv_bytes_resident_ = bytes;
-  max_kv_bytes_ = std::max(max_kv_bytes_, bytes);
 }
 
 void MetricsCollector::add_norm_counters(const NormCounters& counters) {
@@ -364,13 +361,12 @@ ServeMetrics MetricsCollector::finalize(double wall_us) const {
   metrics.packed_forwards = packed_forwards_;
   metrics.packed_rows = packed_rows_;
   metrics.packed_sequences = packed_sequences_;
+  metrics.packed_forward_us = packed_forward_us_;
   metrics.prefill_rows = prefill_rows_;
   metrics.decode_rows = decode_rows_;
   metrics.prefill_packs = prefill_packs_;
   metrics.decode_packs = decode_packs_;
   metrics.mixed_packs = mixed_packs_;
-  metrics.kv_bytes_resident = kv_bytes_resident_;
-  metrics.max_kv_bytes = max_kv_bytes_;
   metrics.shed_requests = shed_;
   metrics.degraded_requests = degraded_;
   metrics.deadline_missed_requests = deadline_missed_;

@@ -126,7 +126,7 @@ struct ServeMetrics {
   /// first-token step (recorded per request, including prefill-only ones,
   /// where it is the prompt-completion step); inter-token is the gap between
   /// consecutive decoded-token completions of one session (count = Σ
-  /// max(generated - 1, 0)). Both empty outside chunked/session execution.
+  /// max(generated - 1, 0)). Both empty for the reference oracle.
   LatencySummary ttft;
   LatencySummary intertoken;
 
@@ -140,26 +140,29 @@ struct ServeMetrics {
   std::size_t max_queue_depth = 0;
   double mean_queue_depth = 0.0;
 
-  /// Mega-batch packing: one "pack" = one cross-request forward_hidden_batch
-  /// over a whole scheduler batch. Zero in per-request mode.
+  /// Packing: one "pack" = one cross-request forward_hidden_batch over a
+  /// scheduler step pack. Zero for the reference oracle.
   std::uint64_t packed_forwards = 0;
-  std::size_t packed_rows = 0;       ///< Σ seq_len over all packs
-  std::size_t packed_sequences = 0;  ///< Σ requests over all packs
+  std::size_t packed_rows = 0;       ///< Σ step rows over all packs
+  std::size_t packed_sequences = 0;  ///< Σ sessions over all packs
+  /// Σ wall time of the packed forwards (the span the "forward" trace spans
+  /// cover), the total the trace cross-check gates against.
+  double packed_forward_us = 0.0;
   /// Scheduler max_batch, stamped by the server so occupancy is computable.
   std::size_t pack_capacity = 0;
 
-  /// Phase row accounting under chunked/session execution: every packed row
-  /// is either a prefill row (prompt chunk) or a decode row (one generated
-  /// token fed back). Pack phase counts classify whole packs: pure-prefill,
-  /// pure-decode, or mixed. All zero outside session mode.
+  /// Phase row accounting: every packed row is either a prefill row (prompt
+  /// chunk) or a decode row (one generated token fed back). Pack phase counts
+  /// classify whole packs: pure-prefill, pure-decode, or mixed.
   std::size_t prefill_rows = 0;
   std::size_t decode_rows = 0;
   std::uint64_t prefill_packs = 0;
   std::uint64_t decode_packs = 0;
   std::uint64_t mixed_packs = 0;
 
-  /// KV cache residency: bytes at the last sample (final = 0 after drain) and
-  /// the high watermark across the run. Zero outside session mode.
+  /// KV cache residency, stamped by the server from the session table: bytes
+  /// resident at the end of the run (0 after drain) and the high watermark
+  /// across the run. Zero when every session lived for one step (no caches).
   std::size_t kv_bytes_resident = 0;
   std::size_t max_kv_bytes = 0;
 
@@ -197,8 +200,8 @@ struct ServeMetrics {
   }
 
   /// Mean rows per batched norm call (0 when the batch path never ran) — the
-  /// row-block execution model's utilization: Σ seq_len of a whole mega-batch
-  /// under packed execution, seq_len for per-request forwards, 1 if the seam
+  /// row-block execution model's utilization: Σ step rows of a whole pack,
+  /// seq_len for one-request packs (max_batch = 1), 1 if the seam
   /// degenerated to token-at-a-time calls.
   double rows_per_batched_call() const {
     return norm.batched_norm_calls == 0
@@ -242,12 +245,14 @@ class MetricsCollector {
   /// Records one formed batch's size (called by workers).
   void record_batch(std::size_t batch_size);
 
-  /// Records one packed cross-request forward (called by workers in
-  /// mega-batch mode): `rows` = Σ seq_len, `sequences` = requests packed.
-  void record_packed(std::size_t rows, std::size_t sequences);
+  /// Records one packed cross-request forward (called by workers): `rows` =
+  /// Σ step rows, `sequences` = sessions packed, `forward_us` = the forward's
+  /// wall time.
+  void record_packed(std::size_t rows, std::size_t sequences,
+                     double forward_us);
 
-  /// Records one step pack's phase mix (session mode): prefill vs decode rows
-  /// it carried. Classifies the pack as prefill/decode/mixed internally.
+  /// Records one step pack's phase mix: prefill vs decode rows it carried.
+  /// Classifies the pack as prefill/decode/mixed internally.
   void record_step_pack(std::size_t prefill_rows, std::size_t decode_rows);
 
   /// Records one request's time-to-first-token (microseconds).
@@ -256,9 +261,6 @@ class MetricsCollector {
   /// Records one inter-token gap (microseconds) between consecutive decoded
   /// tokens of a session.
   void record_intertoken(double us);
-
-  /// Samples the KV-bytes-resident gauge (session mode, after each step).
-  void record_kv_bytes(std::size_t bytes);
 
   /// Accumulates one worker's provider counters at drain time.
   void add_norm_counters(const NormCounters& counters);
@@ -311,13 +313,12 @@ class MetricsCollector {
   std::uint64_t packed_forwards_ = 0;
   std::size_t packed_rows_ = 0;
   std::size_t packed_sequences_ = 0;
+  double packed_forward_us_ = 0.0;
   std::size_t prefill_rows_ = 0;
   std::size_t decode_rows_ = 0;
   std::uint64_t prefill_packs_ = 0;
   std::uint64_t decode_packs_ = 0;
   std::uint64_t mixed_packs_ = 0;
-  std::size_t kv_bytes_resident_ = 0;
-  std::size_t max_kv_bytes_ = 0;
   NormCounters norm_;
   std::size_t arena_bytes_ = 0;
   std::uint64_t arena_allocations_ = 0;

@@ -1,9 +1,9 @@
-// SLA-aware batch-formation policy: the reorder buffer and admission-control
-// decisions behind BatchScheduler and StepScheduler. Three formation orders
-// are supported — FIFO (arrival order, the legacy behavior), BINNED
-// (length-aware: a batch anchors on the oldest pending request and fills from
-// its prompt-length bin, so packs carry near-uniform sequence lengths and
-// forward_hidden_batch wastes less work on ragged tails), and EDF
+// SLA-aware pack-formation policy: the reorder buffer and admission-control
+// decisions behind the StepScheduler. Three formation orders are supported —
+// FIFO (arrival order), BINNED (length-aware: a pack anchors on the oldest
+// pending request and fills from its prompt-length bin, so packs carry
+// near-uniform sequence lengths and forward_hidden_batch wastes less work on
+// ragged tails), and EDF
 // (earliest-deadline-first within the same bins: effective priority first,
 // then remaining deadline slack, with time-based aging so low-priority
 // requests cannot starve). Admission control runs on every formation pass:
@@ -28,15 +28,15 @@
 
 namespace haan::serve {
 
-/// Batch/pack formation order.
+/// Pack formation order.
 enum class SchedPolicy {
   /// Resolve at scheduler construction: HAAN_SCHED_POLICY in the environment
   /// ("fifo" | "binned" | "edf") or kFifo. The default — existing configs
   /// keep FIFO behavior, and the CI matrix can flip whole test suites onto a
   /// policy via the environment.
   kAuto,
-  kFifo,    ///< strict arrival order (the legacy scheduler)
-  kBinned,  ///< oldest request anchors, batch fills from its length bin
+  kFifo,    ///< strict arrival order
+  kBinned,  ///< oldest request anchors, pack fills from its length bin
   kEdf,     ///< earliest-deadline-first (priority, then slack) within bins
 };
 
@@ -89,7 +89,7 @@ struct PolicyConfig {
 OverloadAction decide_admission(double slack_us, bool has_deadline,
                                 const PolicyConfig& config);
 
-/// Policy-ordered reorder buffer between the FIFO RequestQueue and batch
+/// Policy-ordered reorder buffer between the FIFO RequestQueue and pack
 /// formation. NOT thread-safe: the owning scheduler serializes all access
 /// under its formation lock. Selection is an O(n) scan (pending sets are
 /// bounded by queue capacity, and the comparator depends on `now`).

@@ -51,7 +51,7 @@ struct Request {
   /// Stamped by the server when the request enters the queue.
   Clock::time_point enqueued_at{};
 
-  /// Stamped by the scheduler when the request leaves the queue into a batch.
+  /// Stamped by the scheduler when the request is admitted into a pack.
   Clock::time_point dequeued_at{};
 };
 
@@ -59,8 +59,8 @@ struct Request {
 struct RequestResult {
   std::uint64_t id = 0;
   std::size_t worker = 0;       ///< worker index that executed the request
-  std::uint64_t batch = 0;      ///< batch sequence number it rode in
-  std::size_t batch_size = 0;   ///< size of that batch
+  std::uint64_t batch = 0;      ///< sequence number of its final pack
+  std::size_t batch_size = 0;   ///< sessions aboard that pack
   std::size_t prompt_len = 0;
 
   /// FNV-1a over the raw bits of the final hidden states of every FED row, in
@@ -85,8 +85,8 @@ struct RequestResult {
   /// keep_hidden flag is set (tests); empty otherwise to bound memory.
   std::vector<float> hidden;
 
-  double queue_us = 0.0;    ///< enqueue -> dequeue (batch formation)
-  double compute_us = 0.0;  ///< forward pass (summed over steps for sessions)
+  double queue_us = 0.0;    ///< enqueue -> dequeue (pack admission)
+  double compute_us = 0.0;  ///< forward passes, summed over its steps' packs
   double total_us = 0.0;    ///< enqueue -> completion
 
   int priority = 0;           ///< scheduling class (copied from the request)

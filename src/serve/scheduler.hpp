@@ -1,107 +1,33 @@
-// Continuous-batching scheduler: turns the request stream into batches for
-// the worker pool. A batch opens when the first request is popped and closes
-// when either max_batch requests have been collected, the row budget is
-// reached, or max_wait has elapsed since the batch opened — the classic
-// batching latency/throughput knob. Batch formation is serialized so batches
-// carry monotonically increasing sequence numbers.
-//
-// Formation order is a policy (serve/policy.hpp): FIFO keeps the legacy
-// contiguous arrival runs (fairness: no request can be overtaken by a later
-// arrival in a different batch); BINNED anchors each batch on the oldest
-// pending request and fills from its prompt-length bin so packs carry
-// near-uniform lengths (higher pack occupancy under a row budget, less
-// ragged-tail waste); EDF orders by effective priority then deadline slack
-// within the same bins. Under overload, admission control sheds or degrades
-// deadline-bearing requests before they are packed; shed requests ride out
-// in Batch.shed and degraded ones form provider-uniform degraded batches.
+// Batching knobs shared by the serving configuration and the step scheduler
+// (serve/step_scheduler.hpp): how many sessions a pack may carry, how long an
+// open pack may wait for more work, the row budget, and the formation policy
+// (serve/policy.hpp). max_batch = 1 is per-request execution: every pack
+// carries one session.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <mutex>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
 #include "serve/policy.hpp"
-#include "serve/queue.hpp"
-#include "serve/request.hpp"
 
 namespace haan::serve {
 
-/// Batch formation knobs.
+/// Pack formation knobs.
 struct SchedulerConfig {
-  /// Maximum requests per batch; must be > 0.
+  /// Maximum sessions per pack; must be > 0.
   std::size_t max_batch = 8;
 
-  /// Maximum time to hold an open batch waiting for more requests.
+  /// Maximum time to hold an open pack waiting for more work.
   std::chrono::microseconds max_wait{1000};
 
-  /// Row budget: cap on Σ prompt rows per batch (0 = unlimited, the legacy
-  /// behavior). With a budget, mixed-length FIFO batches exhaust rows with
-  /// few sequences while binned batches fill every max_batch slot — the
-  /// lever that lets length binning raise pack occupancy.
+  /// Row budget: cap on Σ step rows per pack (0 = unlimited). With a budget,
+  /// mixed-length FIFO packs exhaust rows with few sequences while binned
+  /// packs fill every max_batch slot — the lever that lets length binning
+  /// raise pack occupancy.
   std::size_t max_rows = 0;
 
   /// Formation order + overload admission control (serve/policy.hpp).
   PolicyConfig policy;
-};
-
-/// One formed batch.
-struct Batch {
-  std::uint64_t sequence = 0;  ///< monotone formation order
-  std::vector<Request> requests;
-
-  /// True: every request aboard is degraded and the worker must execute the
-  /// batch on its degrade provider. Lanes never mix in one batch.
-  bool degraded = false;
-
-  /// Requests shed by admission control during this formation pass. The
-  /// worker records them as unserved results (no forward runs). A batch may
-  /// carry shed requests and no serveable ones (requests empty).
-  std::vector<Request> shed;
-};
-
-/// Pulls batches off a RequestQueue. Thread-safe: any number of workers may
-/// call next_batch() concurrently; formation itself is serialized.
-class BatchScheduler {
- public:
-  /// Resolves policy kAuto against HAAN_SCHED_POLICY at construction.
-  BatchScheduler(RequestQueue& queue, SchedulerConfig config);
-
-  /// Blocks for the next batch. Returns nullopt only at end-of-stream (queue
-  /// closed and drained, reorder pool empty). The returned batch has
-  /// 0..max_batch serveable requests (0 only when it carries shed requests),
-  /// each stamped with its dequeue time.
-  std::optional<Batch> next_batch();
-
-  /// Number of batches formed so far.
-  std::uint64_t batches_formed() const;
-
-  const SchedulerConfig& config() const { return config_; }
-
-  /// The formation order in effect (config policy with kAuto resolved).
-  SchedPolicy policy() const { return policy_; }
-
- private:
-  /// Drains everything currently queued into the pool without blocking;
-  /// returns the queue state seen at the end (kEmpty or kDrained).
-  TryPopResult drain_queue_into_pool();
-
-  /// The pre-policy formation path: direct FIFO pops, no reorder pool. Taken
-  /// when the config is pure legacy (FIFO order, no row budget, no overload
-  /// admission) so existing behavior stays bit-for-bit identical.
-  std::optional<Batch> next_batch_fifo();
-
-  RequestQueue& queue_;
-  SchedulerConfig config_;
-  SchedPolicy policy_;  ///< resolved (never kAuto)
-  bool legacy_fifo_;    ///< pure-FIFO fast path, bypasses the pool
-  std::mutex mu_;       ///< serializes batch formation (fairness)
-  PendingPool pool_;    ///< policy reorder buffer (guarded by mu_)
-  /// Atomic (not mu_-guarded) so batches_formed() never blocks behind a
-  /// worker that is parked inside next_batch() holding mu_.
-  std::atomic<std::uint64_t> next_sequence_{0};
 };
 
 }  // namespace haan::serve

@@ -1,18 +1,21 @@
-// The serving facade: wires queue + scheduler + worker pool + metrics around
-// a Transformer. Construction builds the model and (for haan* providers)
-// runs offline calibration once so every worker's provider shares the same
-// skip plan. run() plays a workload open-loop (honoring arrival offsets) or
-// closed-loop (as fast as the queue admits), executing each scheduler batch
-// as ONE packed cross-request forward by default (mega_batch): the batch's
-// sequences concatenate into a (Σ seq_len × d) block and every norm layer is
-// a single row-block provider call spanning all of them, optionally split
-// across a worker-local row-partition pool. run_reference() executes the
-// same workload single-threaded, request-at-a-time, with one provider — the
-// determinism oracle. Packed multi-worker runs are compared against it
-// bit-for-bit: per-request hidden states are identical for any worker count,
-// batch packing, and norm-thread count, because providers key per-position
-// state by packed row (unique per row, carrying exactly the per-sequence
-// anchor values) and every row kernel is row-wise.
+// The serving facade: wires queue + step scheduler + worker pool + metrics
+// around a Transformer. Construction builds the model and (for haan*
+// providers) runs offline calibration once so every worker's provider shares
+// the same skip plan. run() plays a workload open-loop (honoring arrival
+// offsets) or closed-loop (as fast as the queue admits) through ONE execution
+// path: the StepScheduler admits requests as sessions and forms packs of
+// per-session steps, and each pack runs as one packed cross-request forward —
+// the pack's rows concatenate into a (Σ rows × d) block and every norm layer
+// is a single row-block provider call spanning all of them, optionally split
+// across a worker-local row-partition pool. prefill_chunk = 0 feeds each
+// prompt whole (prefill-only traffic forms whole-request packs);
+// scheduler.max_batch = 1 is per-request execution. run_reference() executes
+// the same workload single-threaded, request-at-a-time, with one provider —
+// the determinism oracle. Served runs are compared against it bit-for-bit:
+// per-request hidden states are identical for any worker count, pack
+// composition, prefill chunking and norm-thread count, because providers key
+// per-position state by packed row (unique per row, carrying exactly the
+// per-sequence anchor values) and every row kernel is row-wise.
 #pragma once
 
 #include <memory>
@@ -28,29 +31,9 @@
 
 namespace haan::serve {
 
-/// How the worker pool executes requests.
-enum class ExecMode {
-  /// Resolve at run() time: HAAN_PREFILL_CHUNK in the environment or decode
-  /// traffic in the workload selects kChunked; otherwise the legacy
-  /// mega_batch flag picks kMegaBatch/kPerRequest. The default — existing
-  /// configs keep their behavior, and the CI matrix can flip whole test
-  /// suites into chunked execution via the environment.
-  kAuto,
-
-  /// One whole-request scheduler batch = one packed forward (the PR 4 model).
-  kMegaBatch,
-
-  /// One forward per request (the PR 3 model, kept for A/B benchmarking).
-  kPerRequest,
-
-  /// Chunked prefill + incremental decode over live sessions: the step
-  /// scheduler mixes prefill chunks and single-row decode steps of different
-  /// requests into each pack; per-session KV caches carry attention state
-  /// across steps. The only mode that serves max_new_tokens > 0.
-  kChunked,
-};
-
-std::string to_string(ExecMode mode);
+/// Type of the ignored ServerConfig::mode field: every request takes the one
+/// step-scheduler path. Kept so callers that still set the field compile.
+enum class ExecMode { kMegaBatch, kChunked };
 
 /// Full serving configuration.
 struct ServerConfig {
@@ -68,16 +51,12 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;
   SchedulerConfig scheduler;
 
-  ExecMode mode = ExecMode::kAuto;
+  /// Ignored: no code reads it (see ExecMode).
+  ExecMode mode = ExecMode::kMegaBatch;
 
-  /// Prompt rows per prefill step in chunked mode (0 = whole remaining
-  /// prompt in one step). Overridden by HAAN_PREFILL_CHUNK when mode=kAuto
-  /// resolves to chunked via the environment.
+  /// Prompt rows per prefill step (0 = the whole remaining prompt in one
+  /// step, so prefill-only traffic forms whole-request packs).
   std::size_t prefill_chunk = 0;
-
-  /// Legacy packing flag, honored only when mode == kAuto resolves to a
-  /// whole-request mode: true = mega-batch, false = per-request.
-  bool mega_batch = true;
 
   /// Row-partition threads per worker provider (0 = HAAN_NORM_THREADS /
   /// hardware default, 1 = serial). Outputs are bit-identical regardless.
@@ -139,18 +118,13 @@ class Server {
   std::unique_ptr<model::NormProvider> make_provider() const;
 
   /// Builds the degrade-lane provider (config.degrade_norm, same options and
-  /// skip plan). Used by workers for degraded batches and by the bench's
+  /// skip plan). Used by workers for degraded packs and by the bench's
   /// verify oracle to re-forward degraded requests.
   std::unique_ptr<model::NormProvider> make_degrade_provider() const;
 
-  /// Serves the workload to completion through the concurrent runtime.
-  /// Requests with max_new_tokens > 0 require chunked execution (explicit
-  /// kChunked, or kAuto which resolves to it when decode traffic is present).
+  /// Serves the workload to completion through the concurrent runtime,
+  /// prefill and decode alike.
   ServeReport run(const std::vector<Request>& workload);
-
-  /// The execution mode run() will use for `workload` (resolves kAuto
-  /// against HAAN_PREFILL_CHUNK and the workload's decode demand).
-  ExecMode resolve_mode(const std::vector<Request>& workload) const;
 
   /// Single-threaded in-order execution with one provider; no queue, no
   /// batching, no cross-request packing — one forward_hidden per request.
@@ -161,8 +135,8 @@ class Server {
   /// feeds.
   /// Produces bit-identical per-request hidden states (and identical per-row
   /// norm counters for prefill-only workloads: norm_calls / isd_* /
-  /// elements_read / fused sums) to run() under any worker count, batch
-  /// packing, prefill chunking, pack mix and norm-thread count. Only the
+  /// elements_read / fused sums) to run() under any worker count, pack
+  /// composition, prefill chunking and norm-thread count. Only the
   /// batching-shape counters (batched_norm_calls, packed_*) differ — and,
   /// under decode, the per-row counters too (the oracle re-feeds prompt rows
   /// every step; incremental execution feeds each row once).

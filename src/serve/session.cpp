@@ -17,12 +17,17 @@ std::size_t Session::next_rows(std::size_t prefill_chunk) const {
   return 1;
 }
 
+bool Session::step_finishes(std::size_t prefill_chunk) const {
+  return fed + next_rows(prefill_chunk) >= prompt_len() &&
+         generated.size() + 1 >= max_new_tokens;
+}
+
 SessionTable::SessionTable(const model::ModelConfig& config)
     : n_blocks_(config.n_blocks),
       d_model_(config.d_model),
       max_seq_len_(config.max_seq_len) {}
 
-Session* SessionTable::create(Request request) {
+Session* SessionTable::create(Request request, std::size_t prefill_chunk) {
   HAAN_EXPECTS(!request.tokens.empty());
   HAAN_EXPECTS(request.tokens.size() <= max_seq_len_);
   auto session = std::make_unique<Session>();
@@ -30,12 +35,17 @@ Session* SessionTable::create(Request request) {
   // fits the model's positional range.
   const std::size_t decode_cap = max_seq_len_ - request.tokens.size() + 1;
   session->max_new_tokens = std::min(request.max_new_tokens, decode_cap);
+  session->request = std::move(request);
+  // A session that lives for exactly one step never attends over a cached
+  // prefix: it gets no cache and no arena, so packs of such sessions keep
+  // the span-parallel forward.
+  const bool one_step = session->step_finishes(prefill_chunk);
   // The cache never stores more rows than prompt + max_new - 1 (the last
   // generated token is returned, never fed), so reserving prompt + max_new
   // rows makes every layer allocate exactly once.
   const std::size_t reserve_rows =
-      request.tokens.size() + session->max_new_tokens;
-  if (mem::placement_enabled()) {
+      session->prompt_len() + session->max_new_tokens;
+  if (!one_step && mem::placement_enabled()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!arena_pool_.empty()) {
@@ -54,9 +64,10 @@ Session* SessionTable::create(Request request) {
       session->kv_arena = std::make_unique<mem::Arena>(opts);
     }
   }
-  session->cache = model::KvCache(n_blocks_, d_model_, session->kv_arena.get(),
-                                  reserve_rows);
-  session->request = std::move(request);
+  if (!one_step) {
+    session->cache = model::KvCache(n_blocks_, d_model_,
+                                    session->kv_arena.get(), reserve_rows);
+  }
   Session* raw = session.get();
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] =
@@ -87,11 +98,6 @@ void SessionTable::release(std::uint64_t id) {
     std::lock_guard<std::mutex> lock(mu_);
     arena_pool_.push_back(std::move(arena));
   }
-}
-
-std::size_t SessionTable::live() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
 }
 
 void SessionTable::account_kv(Session& session) {

@@ -1,7 +1,10 @@
-// Live per-request decode state. A Session is born when the scheduler admits
+// Live per-request serving state. A Session is born when the scheduler admits
 // a Request, carries its KV cache and pending-token state across steps (a
 // step = one span of a packed forward: a prefill chunk or a single decode
-// row), and dies when the last token is generated. The SessionTable owns all
+// row), and dies when the last token is generated. A session that lives for
+// exactly one step (whole prompt in the first step, at most one generated
+// token) never reads cached K/V, so it gets no cache and no KV arena: packs of
+// such sessions run the plain span-parallel forward. The SessionTable owns all
 // live sessions for a worker pool and accounts KV bytes resident so metrics
 // can report cache pressure.
 #pragma once
@@ -30,16 +33,19 @@ struct Session {
   /// arena sized for the session's whole K/V footprint, recycled through the
   /// SessionTable's pool when the session dies. Declared BEFORE `cache` so
   /// the cache's pmr vectors are destroyed while their resource is alive.
-  /// Null with placement off (cache allocates from the heap as before).
+  /// Null with placement off (cache allocates from the heap as before) and
+  /// for one-step sessions.
   std::unique_ptr<mem::Arena> kv_arena;
 
+  /// Invalid (default-constructed) for one-step sessions, which never attend
+  /// over a cached prefix.
   model::KvCache cache;
 
   /// request.max_new_tokens clamped so fed tokens (prompt + all generated but
   /// the last) never exceed the model's max_seq_len.
   std::size_t max_new_tokens = 0;
 
-  /// Tokens fed through the model so far (== cache.position()).
+  /// Tokens fed through the model so far (== cache.position() when cached).
   std::size_t fed = 0;
 
   /// Stable storage for the single decode token a step feeds (spans point at
@@ -76,6 +82,10 @@ struct Session {
   /// prefilling (prefill_chunk 0 = the whole remaining prompt), else 1 (the
   /// pending decode token).
   std::size_t next_rows(std::size_t prefill_chunk) const;
+
+  /// True when the next step finishes the session: it feeds the rest of the
+  /// prompt and leaves at most one token to generate (the step's own).
+  bool step_finishes(std::size_t prefill_chunk) const;
 };
 
 /// Registry of live sessions plus KV residency accounting. Thread-safe;
@@ -86,14 +96,14 @@ class SessionTable {
   /// `config` supplies KV cache shape and the max_seq_len decode clamp.
   explicit SessionTable(const model::ModelConfig& config);
 
-  /// Admits a request: builds its KV cache, clamps max_new_tokens, stamps
-  /// nothing. The returned pointer stays valid until release(id).
-  Session* create(Request request);
+  /// Admits a request: clamps max_new_tokens and builds its KV cache unless
+  /// the session lives for exactly one step under `prefill_chunk` (see
+  /// Session::step_finishes). Stamps nothing. The returned pointer stays
+  /// valid until release(id).
+  Session* create(Request request, std::size_t prefill_chunk);
 
   /// Removes a finished session, un-charging its KV bytes.
   void release(std::uint64_t id);
-
-  std::size_t live() const;
 
   /// Re-charges `session`'s KV allocation to the resident gauge (call after
   /// each step; caches only grow).

@@ -50,6 +50,7 @@ std::optional<StepPack> StepScheduler::next_pack() {
   std::optional<bool> lane;
   std::optional<std::size_t> bin;
   bool relax_bin = false;
+  bool continuing = false;  // a requeued session's step is aboard
   std::size_t rows = 0;
   const std::size_t max_batch = config_.batching.max_batch;
   const std::size_t max_rows = config_.batching.max_rows;
@@ -93,8 +94,10 @@ std::optional<StepPack> StepScheduler::next_pack() {
             break;
           }
           ready.pop_front();
+          if (!session->step_finishes(config_.prefill_chunk)) ++returning_;
           pack.entries.push_back(make_entry(session));
           rows += step_rows;
+          continuing = true;
         }
       }
       // Admit new arrivals from the reorder pool under the policy order; the
@@ -116,10 +119,12 @@ std::optional<StepPack> StepScheduler::next_pack() {
         Request request = pool_.extract(*index);
         if (binned && !bin.has_value()) bin = pool_.bin_of(prompt_len);
         request.dequeued_at = now;
-        Session* session = sessions_.create(std::move(request));
+        Session* session =
+            sessions_.create(std::move(request), config_.prefill_chunk);
         {
           std::lock_guard<std::mutex> state(state_mu_);
           ++lane_live_[lane_index(*lane)];
+          if (!session->step_finishes(config_.prefill_chunk)) ++returning_;
         }
         pack.entries.push_back(make_entry(session));
         rows += step_rows;
@@ -143,12 +148,14 @@ std::optional<StepPack> StepScheduler::next_pack() {
         }
         break;
       }
-      {
+      if (continuing || queue_state == TryPopResult::kDrained) {
         // Close early when no other candidate work could join this pack:
         // nothing queued, no same-lane pending or ready work, and every
         // same-lane live session already aboard. Waiting out max_wait could
         // only pack future arrivals, and would charge every token of a lone
-        // decode stream the full batching delay.
+        // decode stream the full batching delay. A pack of fresh admissions
+        // keeps its gather window open while the queue can still deliver:
+        // whole-request packs batch arrivals the way max_wait promises.
         std::lock_guard<std::mutex> state(state_mu_);
         if (!pool_.has_lane(*lane) && ready_[lane_index(*lane)].empty() &&
             lane_live_[lane_index(*lane)] == pack.entries.size()) {
@@ -168,11 +175,12 @@ std::optional<StepPack> StepScheduler::next_pack() {
       return pack;
     }
     // End-of-stream only once the queue is drained, the pool is empty AND
-    // every session has finished — a closed queue still owes its live
-    // decodes.
+    // no live session can come back — a closed queue still owes its live
+    // decodes. Sessions in their final step finish without this worker, so
+    // it exits (releasing its scratch memory) instead of waiting for them.
     if (queue_state == TryPopResult::kDrained && pool_.empty()) {
       std::lock_guard<std::mutex> state(state_mu_);
-      if (ready_[0].empty() && ready_[1].empty() && sessions_.live() == 0) {
+      if (ready_[0].empty() && ready_[1].empty() && returning_ == 0) {
         return std::nullopt;
       }
     }
@@ -192,6 +200,8 @@ void StepScheduler::requeue(Session* session) {
   HAAN_EXPECTS(session != nullptr && !session->finished());
   {
     std::lock_guard<std::mutex> state(state_mu_);
+    HAAN_ASSERT(returning_ > 0);
+    --returning_;
     ready_[lane_index(session->request.degraded)].push_back(session);
   }
   work_cv_.notify_all();

@@ -1,17 +1,18 @@
-// Step scheduler: continuous batching over LIVE SESSIONS instead of whole
-// requests. Where BatchScheduler hands a worker a batch of complete prompts,
-// the StepScheduler hands it a PACK of per-session steps — prefill chunks of
-// some sessions mixed with single-row decode steps of others — so decode
-// traffic keeps riding the mega-batch norm amortization instead of degrading
-// to one-row forwards. Sessions needing more steps are requeued by the worker
-// after each pack; end-of-stream drains them to completion (a closed queue
-// never drops a live decode).
+// Step scheduler: the server's only scheduler. It runs continuous batching
+// over LIVE SESSIONS: each pack it hands a worker mixes per-session steps —
+// prefill chunks of some sessions and single-row decode steps of others — so
+// decode traffic keeps riding the packed norm amortization instead of
+// degrading to one-row forwards. prefill_chunk = 0 feeds every prompt whole,
+// so prefill-only traffic forms whole-request packs; max_batch = 1 is
+// per-request execution. Sessions needing more steps are requeued by the
+// worker after each pack; end-of-stream drains them to completion (a closed
+// queue never drops a live decode).
 //
 // Admission order is a policy (serve/policy.hpp): FIFO admits in arrival
-// order (legacy); binned/EDF admit from the policy reorder pool, with the
-// first admission fixing the pack's prompt-length bin. Admission control may
-// shed deadline-missing arrivals (they ride out in StepPack.shed, never
-// becoming sessions) or degrade them onto the cheap-provider lane; a pack is
+// order; binned/EDF admit from the policy reorder pool, with the first
+// admission fixing the pack's prompt-length bin. Admission control may shed
+// deadline-missing arrivals (they ride out in StepPack.shed, never becoming
+// sessions) or degrade them onto the cheap-provider lane; a pack is
 // lane-uniform (one provider per pack) and formation alternates lanes so
 // neither starves.
 #pragma once
@@ -77,10 +78,13 @@ struct StepPack {
 /// Scheduling policy: ready sessions (decode steps, continuing prefills) are
 /// taken before new arrivals — finishing live sessions bounds KV residency
 /// and inter-token latency; admission only uses leftover pack slots. An open
-/// pack closes early when no other candidate work could join it (empty
-/// same-lane ready queue and pool, empty request queue, every same-lane live
-/// session already aboard), so a lone decode stream is not taxed max_wait
-/// per token.
+/// pack that carries a continuing session closes early when no other
+/// candidate work could join it (empty same-lane ready queue and pool, empty
+/// request queue, every same-lane live session already aboard), so a lone
+/// decode stream is not taxed max_wait per token. A pack of fresh admissions
+/// closes early on that condition only once the queue is closed and drained;
+/// until then it waits up to max_wait for arrivals, as whole-request
+/// batching does.
 class StepScheduler {
  public:
   /// Resolves policy kAuto against HAAN_SCHED_POLICY at construction.
@@ -88,9 +92,9 @@ class StepScheduler {
                 StepSchedulerConfig config);
 
   /// Blocks for the next pack. Returns nullopt only at end-of-stream: queue
-  /// closed AND drained AND reorder pool empty AND no live session remains
-  /// (drain semantics — close() with live decodes keeps packing until they
-  /// finish).
+  /// closed AND drained AND reorder pool empty AND no live session will be
+  /// requeued (drain semantics — close() with live decodes keeps packing
+  /// until every remaining session is in its final step).
   std::optional<StepPack> next_pack();
 
   /// Returns an unfinished session to its lane's ready queue (worker,
@@ -130,6 +134,9 @@ class StepScheduler {
   std::condition_variable work_cv_;
   std::deque<Session*> ready_[2];   ///< per-lane (normal / degraded)
   std::size_t lane_live_[2] = {0, 0};  ///< live sessions per lane
+  /// Live sessions whose current step leaves them unfinished: the only work
+  /// that can still come back once the queue and pool are empty.
+  std::size_t returning_ = 0;
 
   std::atomic<std::uint64_t> next_sequence_{0};
 };

@@ -1,9 +1,10 @@
 // Mega-batch serving: packed cross-request execution through the full
 // queue -> scheduler -> worker-pool -> metrics stack. Covers bit-identity
-// against per-request mode and the single-threaded reference (ragged prompt
-// lengths, prime Σ seq_len, singleton batches, forced row-partition thread
-// counts), the packed metrics (packs, rows/pack, occupancy), and counter
-// aggregation semantics under packing.
+// against per-request execution (max_batch = 1) and the single-threaded
+// reference (ragged prompt lengths, prime Σ seq_len, singleton packs, forced
+// row-partition thread counts, whole-prompt and chunked prefill), the packed
+// metrics (packs, rows/pack, occupancy), and counter aggregation semantics
+// under packing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,9 +26,6 @@ ServerConfig mega_server(const std::string& norm, std::size_t workers,
   config.scheduler.max_wait = std::chrono::microseconds(200);
   config.paced = false;
   config.keep_hidden = true;
-  // Explicit mode: these tests assert mode-specific counter shapes, so they
-  // must not flip to chunked execution under the HAAN_PREFILL_CHUNK CI matrix.
-  config.mode = ExecMode::kMegaBatch;
   config.calibration.n_samples = 8;
   config.calibration.seq_len = 16;
   config.calibration.position_stride = 4;
@@ -70,12 +68,16 @@ void expect_bit_identical(const ServeReport& a, const ServeReport& b) {
 
 TEST(MegaBatchServe, PackedRunBitIdenticalToReferenceRaggedLengths) {
   for (const std::string norm : {"exact", "haan", "haan-int8"}) {
-    Server server(mega_server(norm, 3, 4));
-    const auto workload = ragged_workload(30, server.config().model.vocab_size);
-    const auto reference = server.run_reference(workload);
-    const auto packed = server.run(workload);
-    expect_bit_identical(packed, reference);
-    EXPECT_GT(packed.metrics.packed_forwards, 0u);
+    for (const std::size_t chunk : {0u, 1u, 2u}) {
+      auto config = mega_server(norm, 3, 4);
+      config.prefill_chunk = chunk;
+      Server server(config);
+      const auto workload = ragged_workload(30, config.model.vocab_size);
+      const auto reference = server.run_reference(workload);
+      const auto packed = server.run(workload);
+      expect_bit_identical(packed, reference);
+      EXPECT_GT(packed.metrics.packed_forwards, 0u);
+    }
   }
 }
 
@@ -84,7 +86,7 @@ TEST(MegaBatchServe, PackedModeMatchesPerRequestModeBitForBit) {
   const auto workload = ragged_workload(24, config.model.vocab_size);
 
   Server packed_server(config);
-  config.mode = ExecMode::kPerRequest;
+  config.scheduler.max_batch = 1;  // per-request execution
   Server per_request_server(config);
 
   const auto packed = packed_server.run(workload);
@@ -108,7 +110,9 @@ TEST(MegaBatchServe, PackedModeMatchesPerRequestModeBitForBit) {
             per_request.metrics.norm.batched_norm_calls);
   EXPECT_GT(packed.metrics.rows_per_batched_call(),
             per_request.metrics.rows_per_batched_call());
-  EXPECT_EQ(per_request.metrics.packed_forwards, 0u);
+  // Per-request execution packs one request per forward.
+  EXPECT_EQ(per_request.metrics.packed_forwards, workload.size());
+  EXPECT_LT(packed.metrics.packed_forwards, workload.size());
 }
 
 TEST(MegaBatchServe, RowPartitionThreadCountDoesNotChangeOutputs) {

@@ -175,15 +175,19 @@ TEST(MetricsCollector, PhaseMetricsClassifyPacksAndSummarizeLatencies) {
   collector.record_step_pack(/*prefill_rows=*/8, /*decode_rows=*/0);
   collector.record_step_pack(/*prefill_rows=*/0, /*decode_rows=*/3);
   collector.record_step_pack(/*prefill_rows=*/4, /*decode_rows=*/2);
+  collector.record_packed(/*rows=*/8, /*sequences=*/2, /*forward_us=*/100.0);
+  collector.record_packed(/*rows=*/3, /*sequences=*/3, /*forward_us=*/25.0);
+  collector.record_packed(/*rows=*/6, /*sequences=*/3, /*forward_us=*/50.0);
   collector.record_ttft(500.0);
   collector.record_ttft(700.0);
   collector.record_intertoken(50.0);
   collector.record_intertoken(70.0);
   collector.record_intertoken(90.0);
-  collector.record_kv_bytes(4096);
-  collector.record_kv_bytes(1024);
 
-  const ServeMetrics metrics = collector.finalize(1e6);
+  // KV residency is stamped by the server from its session table.
+  ServeMetrics metrics = collector.finalize(1e6);
+  EXPECT_EQ(metrics.max_kv_bytes, 0u);
+  metrics.max_kv_bytes = 4096;
   EXPECT_EQ(metrics.prefill_rows, 12u);
   EXPECT_EQ(metrics.decode_rows, 5u);
   EXPECT_EQ(metrics.prefill_packs, 1u);
@@ -192,16 +196,15 @@ TEST(MetricsCollector, PhaseMetricsClassifyPacksAndSummarizeLatencies) {
   // Rows divide over the packs that carried the phase (pure + mixed).
   EXPECT_DOUBLE_EQ(metrics.prefill_rows_per_pack(), 6.0);
   EXPECT_DOUBLE_EQ(metrics.decode_rows_per_pack(), 2.5);
+  // Per-pack forward times sum into the total the trace cross-check gates.
+  EXPECT_EQ(metrics.packed_forwards, 3u);
+  EXPECT_DOUBLE_EQ(metrics.packed_forward_us, 175.0);
 
   EXPECT_EQ(metrics.ttft.count, 2u);
   EXPECT_EQ(metrics.ttft.max_us, 700.0);
   EXPECT_NEAR(metrics.ttft.mean_us, 600.0, 1e-9);
   EXPECT_EQ(metrics.intertoken.count, 3u);
   EXPECT_EQ(metrics.intertoken.max_us, 90.0);
-
-  // The gauge keeps the latest sample; the watermark keeps the peak.
-  EXPECT_EQ(metrics.kv_bytes_resident, 1024u);
-  EXPECT_EQ(metrics.max_kv_bytes, 4096u);
 
   const std::string rendered = metrics.to_string();
   EXPECT_NE(rendered.find("ttft"), std::string::npos);
@@ -211,9 +214,10 @@ TEST(MetricsCollector, PhaseMetricsClassifyPacksAndSummarizeLatencies) {
   EXPECT_NE(json.find("latency_ttft"), std::string::npos);
   EXPECT_NE(json.find("latency_intertoken"), std::string::npos);
   EXPECT_NE(json.find("prefill_rows_per_pack"), std::string::npos);
+  EXPECT_NE(json.find("packed_forward_us"), std::string::npos);
 }
 
-TEST(MetricsCollector, PhaseMetricsZeroOutsideSessionMode) {
+TEST(MetricsCollector, PhaseMetricsZeroWhenNothingRecorded) {
   const MetricsCollector collector;
   const ServeMetrics metrics = collector.finalize(1.0);
   EXPECT_EQ(metrics.ttft.count, 0u);

@@ -1,10 +1,11 @@
 // NUMA placement parity through the serving stack: placement moves memory
 // (arenas, mbind) and threads (node pinning), never values, so every
-// provider x execution mode x thread count must produce bit-identical
-// results under HAAN_NUMA=off, auto and interleave — and match the
-// single-threaded reference oracle. Also covers the arena stats surfaced in
-// ServeMetrics (zero under off, live under auto) and the logical-bytes KV
-// accounting that keeps residency metrics comparable across modes.
+// provider x prefill chunk x thread count must produce bit-identical results
+// under HAAN_NUMA=off, auto and interleave — and match the single-threaded
+// reference oracle. Also covers the arena stats surfaced in ServeMetrics
+// (zero under off, live under auto), the logical-bytes KV accounting that
+// keeps residency metrics comparable across modes, and the one-step rule
+// (sessions that live for one step get no KV cache or arena).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +14,7 @@
 #include "mem/topology.hpp"
 #include "model/kv_cache.hpp"
 #include "serve/server.hpp"
+#include "serve/session.hpp"
 
 namespace haan::serve {
 namespace {
@@ -37,7 +39,6 @@ ServerConfig numa_server(const std::string& norm, std::size_t workers) {
   config.scheduler.max_wait = std::chrono::microseconds(200);
   config.paced = false;
   config.keep_hidden = true;
-  config.mode = ExecMode::kMegaBatch;
   config.calibration.n_samples = 8;
   config.calibration.seq_len = 16;
   config.calibration.position_stride = 4;
@@ -80,41 +81,43 @@ void expect_bit_identical(const ServeReport& a, const ServeReport& b) {
 TEST(NumaServe, EveryProviderBitIdenticalAcrossPlacementModes) {
   for (const std::string norm :
        {"exact", "haan", "haan-int8", "haan-fp16", "haan-full", "haan-noskip"}) {
-    auto config = numa_server(norm, 2);
-    const auto workload = ragged_workload(18, config.model.vocab_size);
+    for (const std::size_t chunk : {0u, 1u, 2u}) {
+      auto config = numa_server(norm, 2);
+      config.prefill_chunk = chunk;
+      const auto workload = ragged_workload(18, config.model.vocab_size);
 
-    ServeReport off_report, auto_report, interleave_report, reference;
-    {
-      NumaModeGuard guard(mem::NumaMode::kOff);
-      Server server(config);
-      off_report = server.run(workload);
-      reference = server.run_reference(workload);
+      ServeReport off_report, auto_report, interleave_report, reference;
+      {
+        NumaModeGuard guard(mem::NumaMode::kOff);
+        Server server(config);
+        off_report = server.run(workload);
+        reference = server.run_reference(workload);
+      }
+      {
+        NumaModeGuard guard(mem::NumaMode::kAuto);
+        Server server(config);
+        auto_report = server.run(workload);
+      }
+      {
+        NumaModeGuard guard(mem::NumaMode::kInterleave);
+        Server server(config);
+        interleave_report = server.run(workload);
+      }
+      expect_bit_identical(off_report, reference);
+      expect_bit_identical(auto_report, off_report);
+      expect_bit_identical(interleave_report, off_report);
+      EXPECT_EQ(auto_report.metrics.norm.isd_computed,
+                off_report.metrics.norm.isd_computed)
+          << norm << " chunk " << chunk;
+      EXPECT_EQ(auto_report.metrics.norm.elements_read,
+                off_report.metrics.norm.elements_read)
+          << norm << " chunk " << chunk;
     }
-    {
-      NumaModeGuard guard(mem::NumaMode::kAuto);
-      Server server(config);
-      auto_report = server.run(workload);
-    }
-    {
-      NumaModeGuard guard(mem::NumaMode::kInterleave);
-      Server server(config);
-      interleave_report = server.run(workload);
-    }
-    expect_bit_identical(off_report, reference);
-    expect_bit_identical(auto_report, off_report);
-    expect_bit_identical(interleave_report, off_report);
-    EXPECT_EQ(auto_report.metrics.norm.isd_computed,
-              off_report.metrics.norm.isd_computed)
-        << norm;
-    EXPECT_EQ(auto_report.metrics.norm.elements_read,
-              off_report.metrics.norm.elements_read)
-        << norm;
   }
 }
 
 TEST(NumaServe, ChunkedDecodeBitIdenticalAcrossPlacementModes) {
   auto config = numa_server("haan", 2);
-  config.mode = ExecMode::kChunked;
   config.prefill_chunk = 5;
   const auto workload =
       ragged_workload(12, config.model.vocab_size, /*max_new=*/3);
@@ -151,6 +154,56 @@ TEST(NumaServe, ChunkedDecodeBitIdenticalAcrossPlacementModes) {
     EXPECT_GT(report->metrics.max_kv_bytes, 0u);
     EXPECT_LE(report->metrics.max_kv_bytes, logical_bound);
   }
+}
+
+TEST(NumaServe, OneStepSessionsGetNoKvArenaAndStayBitIdentical) {
+  NumaModeGuard guard(mem::NumaMode::kAuto);
+  auto config = numa_server("haan", 2);
+
+  // Session level: a session that feeds its whole prompt in its first step
+  // and generates at most one token never reads cached K/V, so it gets no
+  // cache and no arena. A prompt longer than the chunk, or a second
+  // generated token, needs both.
+  SessionTable table(config.model);
+  Request request;
+  request.tokens.assign(6, 1);
+  request.max_new_tokens = 1;
+  request.id = 0;
+  const Session* whole_prompt = table.create(request, /*prefill_chunk=*/0);
+  request.id = 1;
+  const Session* fits_chunk = table.create(request, /*prefill_chunk=*/8);
+  EXPECT_FALSE(whole_prompt->cache.valid());
+  EXPECT_FALSE(fits_chunk->cache.valid());
+  EXPECT_EQ(whole_prompt->kv_arena, nullptr);
+  EXPECT_EQ(fits_chunk->kv_arena, nullptr);
+  EXPECT_EQ(table.arena_usage().reserved_bytes, 0u);
+
+  request.id = 2;
+  const Session* chunked = table.create(request, /*prefill_chunk=*/2);
+  EXPECT_TRUE(chunked->cache.valid());
+  EXPECT_NE(chunked->kv_arena, nullptr);
+  EXPECT_GT(table.arena_usage().reserved_bytes, 0u);
+  request.id = 3;
+  request.max_new_tokens = 2;
+  const Session* decoding = table.create(request, /*prefill_chunk=*/0);
+  EXPECT_TRUE(decoding->cache.valid());
+  EXPECT_NE(decoding->kv_arena, nullptr);
+
+  // Serve level: whole-prompt steps hold no KV at all, chunked prompts do,
+  // and both match the reference bit for bit.
+  const auto workload =
+      ragged_workload(18, config.model.vocab_size, /*max_new=*/1);
+  Server one_step_server(config);
+  const ServeReport reference = one_step_server.run_reference(workload);
+  const ServeReport one_step = one_step_server.run(workload);
+  expect_bit_identical(one_step, reference);
+  EXPECT_EQ(one_step.metrics.max_kv_bytes, 0u);
+
+  config.prefill_chunk = 2;
+  Server chunked_server(config);
+  const ServeReport chunked_report = chunked_server.run(workload);
+  expect_bit_identical(chunked_report, reference);
+  EXPECT_GT(chunked_report.metrics.max_kv_bytes, 0u);
 }
 
 TEST(NumaServe, NormThreadCountDoesNotChangeOutputsUnderPlacement) {

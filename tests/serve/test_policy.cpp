@@ -6,7 +6,7 @@
 #include <set>
 #include <vector>
 
-#include "serve/scheduler.hpp"
+#include "serve/step_scheduler.hpp"
 
 namespace haan::serve {
 namespace {
@@ -270,46 +270,74 @@ TEST(PendingPool, ApplyAdmissionShedsAndStampsDegrade) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchScheduler under the policies.
+// StepScheduler under the policies (whole-prompt steps, one-step sessions).
 
-SchedulerConfig scheduler_config(SchedPolicy policy, std::size_t max_batch) {
-  SchedulerConfig config;
-  config.max_batch = max_batch;
-  config.max_wait = std::chrono::microseconds(100);
-  config.policy.policy = policy;
+StepSchedulerConfig scheduler_config(SchedPolicy policy, std::size_t max_batch) {
+  StepSchedulerConfig config;
+  config.batching.max_batch = max_batch;
+  config.batching.max_wait = std::chrono::microseconds(100);
+  config.batching.policy.policy = policy;
+  config.prefill_chunk = 0;
   return config;
 }
 
-TEST(PolicyBatchScheduler, BinnedFormsBinPureBatches) {
+/// Forms packs until end-of-stream, retiring every session as a worker would
+/// after a one-step pack. Each pack is recorded as the requests aboard plus
+/// the lane and shed list.
+struct FormedPack {
+  std::vector<Request> requests;
+  bool degraded = false;
+  std::vector<Request> shed;
+};
+
+std::vector<FormedPack> drain_packs(RequestQueue& queue,
+                                    StepSchedulerConfig config) {
+  SessionTable sessions(model::tiny_test_model());
+  StepScheduler scheduler(queue, sessions, config);
+  std::vector<FormedPack> packs;
+  while (auto pack = scheduler.next_pack()) {
+    FormedPack formed;
+    formed.degraded = pack->degraded;
+    formed.shed = std::move(pack->shed);
+    for (const StepEntry& entry : pack->entries) {
+      formed.requests.push_back(entry.session->request);
+      scheduler.finish(entry.session);
+    }
+    packs.push_back(std::move(formed));
+  }
+  return packs;
+}
+
+TEST(PolicyStepScheduler, BinnedFormsBinPurePacks) {
   RequestQueue queue(16);
-  // Alternating short/long prompts: FIFO would form ragged batches; binned
-  // groups each batch from one length bin.
+  // Alternating short/long prompts: FIFO would form ragged packs; binned
+  // groups each pack from one length bin.
   for (std::uint64_t id = 0; id < 8; ++id) {
     ASSERT_TRUE(queue.push(make_request(id, id % 2 == 0 ? 8 : 32)));
   }
   queue.close();
 
-  SchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
-  config.policy.bin_width = 16;
-  BatchScheduler scheduler(queue, config);
-  EXPECT_EQ(scheduler.policy(), SchedPolicy::kBinned);
-
-  const auto first = scheduler.next_batch();
-  const auto second = scheduler.next_batch();
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  ASSERT_EQ(first->requests.size(), 4u);
-  ASSERT_EQ(second->requests.size(), 4u);
-  // Oldest request (id 0, short) anchors the first batch; every request in a
-  // batch shares its anchor's bin.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(first->requests[i].id, 2 * i);       // 0 2 4 6
-    EXPECT_EQ(second->requests[i].id, 2 * i + 1);  // 1 3 5 7
+  StepSchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
+  config.batching.policy.bin_width = 16;
+  {
+    SessionTable sessions(model::tiny_test_model());
+    EXPECT_EQ(StepScheduler(queue, sessions, config).policy(),
+              SchedPolicy::kBinned);
   }
-  EXPECT_FALSE(scheduler.next_batch().has_value());
+
+  const std::vector<FormedPack> packs = drain_packs(queue, config);
+  ASSERT_EQ(packs.size(), 2u);
+  ASSERT_EQ(packs[0].requests.size(), 4u);
+  ASSERT_EQ(packs[1].requests.size(), 4u);
+  // Oldest request (id 0, short) anchors the first pack; every request in a
+  // pack shares its anchor's bin.
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(packs[0].requests[i].id, 2 * i);      // 0 2 4 6
+    EXPECT_EQ(packs[1].requests[i].id, 2 * i + 1);  // 1 3 5 7
+  }
 }
 
-TEST(PolicyBatchScheduler, EdfServesUrgentRequestsFirst) {
+TEST(PolicyStepScheduler, EdfServesUrgentRequestsFirst) {
   RequestQueue queue(16);
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 4; ++id) {
@@ -319,38 +347,36 @@ TEST(PolicyBatchScheduler, EdfServesUrgentRequestsFirst) {
   }
   queue.close();
 
-  BatchScheduler scheduler(queue, scheduler_config(SchedPolicy::kEdf, 2));
-  const auto first = scheduler.next_batch();
-  const auto second = scheduler.next_batch();
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  ASSERT_EQ(first->requests.size(), 2u);
-  EXPECT_EQ(first->requests[0].id, 3u);
-  EXPECT_EQ(first->requests[1].id, 2u);
-  EXPECT_EQ(second->requests[0].id, 1u);
-  EXPECT_EQ(second->requests[1].id, 0u);
+  const std::vector<FormedPack> packs =
+      drain_packs(queue, scheduler_config(SchedPolicy::kEdf, 2));
+  ASSERT_EQ(packs.size(), 2u);
+  ASSERT_EQ(packs[0].requests.size(), 2u);
+  ASSERT_EQ(packs[1].requests.size(), 2u);
+  EXPECT_EQ(packs[0].requests[0].id, 3u);
+  EXPECT_EQ(packs[0].requests[1].id, 2u);
+  EXPECT_EQ(packs[1].requests[0].id, 1u);
+  EXPECT_EQ(packs[1].requests[1].id, 0u);
 }
 
-TEST(PolicyBatchScheduler, RowBudgetClosesBatches) {
+TEST(PolicyStepScheduler, RowBudgetClosesPacks) {
   RequestQueue queue(16);
   for (std::uint64_t id = 0; id < 5; ++id) ASSERT_TRUE(queue.push(make_request(id, 4)));
   queue.close();
 
-  SchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 8);
-  config.max_rows = 10;  // two 4-row prompts fit, a third would overflow
-  BatchScheduler scheduler(queue, config);
+  StepSchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 8);
+  config.batching.max_rows = 10;  // two 4-row prompts fit, a third would overflow
 
   std::vector<std::size_t> sizes;
-  while (const auto batch = scheduler.next_batch()) {
-    sizes.push_back(batch->requests.size());
+  for (const FormedPack& pack : drain_packs(queue, config)) {
+    sizes.push_back(pack.requests.size());
     std::size_t rows = 0;
-    for (const Request& request : batch->requests) rows += request.tokens.size();
-    EXPECT_LE(rows, config.max_rows);
+    for (const Request& request : pack.requests) rows += request.tokens.size();
+    EXPECT_LE(rows, config.batching.max_rows);
   }
   EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2, 1}));
 }
 
-TEST(PolicyBatchScheduler, ShedRequestsRideOutInBatchShed) {
+TEST(PolicyStepScheduler, ShedRequestsRideOutInPackShed) {
   RequestQueue queue(16);
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 2; ++id) {
@@ -361,21 +387,19 @@ TEST(PolicyBatchScheduler, ShedRequestsRideOutInBatchShed) {
   ASSERT_TRUE(queue.push(make_request(2, 8, now)));  // no deadline
   queue.close();
 
-  SchedulerConfig config = scheduler_config(SchedPolicy::kEdf, 4);
-  config.policy.allow_shed = true;
-  BatchScheduler scheduler(queue, config);
+  StepSchedulerConfig config = scheduler_config(SchedPolicy::kEdf, 4);
+  config.batching.policy.allow_shed = true;
 
-  const auto batch = scheduler.next_batch();
-  ASSERT_TRUE(batch.has_value());
-  ASSERT_EQ(batch->requests.size(), 1u);
-  EXPECT_EQ(batch->requests[0].id, 2u);
+  const std::vector<FormedPack> packs = drain_packs(queue, config);
+  ASSERT_EQ(packs.size(), 1u);
+  ASSERT_EQ(packs[0].requests.size(), 1u);
+  EXPECT_EQ(packs[0].requests[0].id, 2u);
   std::set<std::uint64_t> shed_ids;
-  for (const Request& request : batch->shed) shed_ids.insert(request.id);
+  for (const Request& request : packs[0].shed) shed_ids.insert(request.id);
   EXPECT_EQ(shed_ids, (std::set<std::uint64_t>{0, 1}));
-  EXPECT_FALSE(scheduler.next_batch().has_value());
 }
 
-TEST(PolicyBatchScheduler, DegradedAndNormalRequestsNeverShareABatch) {
+TEST(PolicyStepScheduler, DegradedAndNormalRequestsNeverShareAPack) {
   RequestQueue queue(16);
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 2; ++id) {
@@ -388,19 +412,18 @@ TEST(PolicyBatchScheduler, DegradedAndNormalRequestsNeverShareABatch) {
   }
   queue.close();
 
-  SchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
-  config.policy.allow_degrade = true;
-  config.policy.degrade_slack_us = 1e12;  // any deadline-bearing request
-  BatchScheduler scheduler(queue, config);
+  StepSchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
+  config.batching.policy.allow_degrade = true;
+  config.batching.policy.degrade_slack_us = 1e12;  // any deadline-bearing request
 
   std::size_t degraded_requests = 0, normal_requests = 0;
-  while (const auto batch = scheduler.next_batch()) {
-    for (const Request& request : batch->requests) {
-      // Lane purity: every request matches its batch's lane.
-      EXPECT_EQ(request.degraded, batch->degraded);
+  for (const FormedPack& pack : drain_packs(queue, config)) {
+    for (const Request& request : pack.requests) {
+      // Lane purity: every request matches its pack's lane.
+      EXPECT_EQ(request.degraded, pack.degraded);
       (request.degraded ? degraded_requests : normal_requests) += 1;
     }
-    EXPECT_TRUE(batch->shed.empty());
+    EXPECT_TRUE(pack.shed.empty());
   }
   EXPECT_EQ(degraded_requests, 2u);
   EXPECT_EQ(normal_requests, 2u);

@@ -2,17 +2,21 @@
 // export a Chrome trace that parses with the in-repo JSON parser, stays
 // begin/end balanced on every thread, carries one flow start ("s", feeder)
 // and one flow finish ("f", worker) per request id, shows the request
-// lifecycle spans (enqueue / batch-form / pack / forward / complete) and the
+// lifecycle spans (enqueue / pack-form / pack / forward / complete) and the
 // provider-tagged per-layer norm spans, and names the feeder and worker
-// tracks. Also checks the disabled path records nothing and the live
-// snapshot emitter produces parseable JSON lines during a real run.
+// tracks; the summed forward spans match the metrics' packed forward total,
+// prefill and decode alike. Also checks the disabled path records nothing
+// and the live snapshot emitter produces parseable JSON lines during a real
+// run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json_lite.hpp"
@@ -31,10 +35,6 @@ ServerConfig traced_server(const std::string& norm) {
   config.scheduler.max_batch = 4;
   config.scheduler.max_wait = std::chrono::microseconds(200);
   config.paced = false;
-  // Pinned: these tests assert mega-batch lifecycle spans (batch-form); the
-  // chunked span shapes (pack-form, phase args) are covered by the decode
-  // trace assertions in test_decode_serve.cpp.
-  config.mode = ExecMode::kMegaBatch;
   config.calibration.n_samples = 8;
   config.calibration.seq_len = 16;
   config.calibration.position_stride = 4;
@@ -128,12 +128,64 @@ TEST_F(ServeTraceTest, TracedRunExportsBalancedFlowLinkedTrace) {
   }
 
   // Request lifecycle + forward-pass spans, with the provider-tagged norm.
-  for (const char* expected : {"enqueue", "batch-form", "pack", "forward",
+  for (const char* expected : {"enqueue", "pack-form", "pack", "forward",
                                "complete", "embed", "attn", "mlp", "norm/haan"}) {
     EXPECT_TRUE(span_names.count(expected)) << "missing span " << expected;
   }
   EXPECT_TRUE(thread_names.count("feeder"));
   EXPECT_TRUE(thread_names.count("worker-0"));
+}
+
+/// Σ duration of the "forward" spans in a Chrome trace (microseconds).
+double forward_span_us(const common::Json& trace) {
+  std::map<int, std::vector<std::pair<std::string, double>>> open;  // per tid
+  double total = 0.0;
+  for (const common::Json& event : trace.find("traceEvents")->as_array()) {
+    const std::string& ph = event.find("ph")->as_string();
+    if (ph != "B" && ph != "E") continue;
+    auto& stack = open[static_cast<int>(event.find("tid")->as_number())];
+    const double ts = event.find("ts")->as_number();
+    if (ph == "B") {
+      stack.emplace_back(event.find("name")->as_string(), ts);
+    } else if (!stack.empty()) {
+      if (stack.back().first == "forward") total += ts - stack.back().second;
+      stack.pop_back();
+    }
+  }
+  return total;
+}
+
+TEST_F(ServeTraceTest, ForwardSpansMatchPackedForwardTotalWithDecode) {
+  // The bench's trace cross-check: on a loss-free trace the summed forward
+  // spans land within 5% of ServeMetrics::packed_forward_us. Decode runs
+  // share one pack's forward among several sessions, so only the per-pack
+  // total can be checked — prefill-only and decode runs alike.
+  for (const std::size_t max_new : {0u, 4u}) {
+    obs::tracer().reset();
+    obs::tracer().set_enabled(true);
+    ServerConfig config = traced_server("haan");
+    config.prefill_chunk = 2;
+    Server server(config);
+    std::vector<Request> workload =
+        small_workload(12, server.config().model.vocab_size);
+    for (Request& request : workload) request.max_new_tokens = max_new;
+    const auto report = server.run(workload);
+    obs::tracer().set_enabled(false);
+    ASSERT_EQ(report.results.size(), workload.size());
+    ASSERT_EQ(obs::tracer().stats().dropped, 0u);
+    if (max_new > 0) {
+      ASSERT_GT(report.metrics.decode_rows, 0u);
+    }
+
+    const auto parsed = common::Json::parse(obs::tracer().export_chrome_json());
+    ASSERT_TRUE(parsed.has_value());
+    const double spans = forward_span_us(*parsed);
+    const double packed = report.metrics.packed_forward_us;
+    ASSERT_GT(packed, 0.0);
+    EXPECT_LE(std::abs(spans - packed), 0.05 * packed)
+        << "max_new " << max_new << ": forward spans " << spans
+        << " us vs packed forwards " << packed << " us";
+  }
 }
 
 TEST_F(ServeTraceTest, ProviderLabelFollowsNormProvider) {

@@ -18,7 +18,8 @@ WorkloadConfig small_workload(std::size_t n, const model::ModelConfig& model) {
   return config;
 }
 
-ServerConfig tiny_server(const std::string& norm, std::size_t workers) {
+ServerConfig tiny_server(const std::string& norm, std::size_t workers,
+                         std::size_t prefill_chunk = 0) {
   ServerConfig config;
   config.model = model::tiny_test_model();
   config.norm = norm;
@@ -28,6 +29,7 @@ ServerConfig tiny_server(const std::string& norm, std::size_t workers) {
   config.scheduler.max_wait = std::chrono::microseconds(200);
   config.paced = false;
   config.keep_hidden = true;
+  config.prefill_chunk = prefill_chunk;
   config.calibration.n_samples = 8;
   config.calibration.seq_len = 16;
   config.calibration.position_stride = 4;
@@ -35,61 +37,80 @@ ServerConfig tiny_server(const std::string& norm, std::size_t workers) {
   return config;
 }
 
-TEST(Server, CompletesEveryRequestExactlyOnce) {
-  Server server(tiny_server("exact", 4));
-  const auto workload = generate_workload(small_workload(40, server.config().model));
-  const auto report = server.run(workload);
+/// Whole-prompt steps plus the adversarial single-row and mid-prompt chunks.
+constexpr std::size_t kPrefillChunks[] = {0, 1, 2};
 
-  ASSERT_EQ(report.results.size(), 40u);
-  ASSERT_EQ(report.metrics.completed, 40u);
-  std::set<std::uint64_t> ids;
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
-    EXPECT_EQ(report.results[i].id, i);  // sorted, no gaps, no duplicates
-    ids.insert(report.results[i].id);
+TEST(Server, CompletesEveryRequestExactlyOnce) {
+  for (const std::size_t chunk : kPrefillChunks) {
+    Server server(tiny_server("exact", 4, chunk));
+    const auto workload =
+        generate_workload(small_workload(40, server.config().model));
+    const auto report = server.run(workload);
+
+    ASSERT_EQ(report.results.size(), 40u) << "chunk " << chunk;
+    ASSERT_EQ(report.metrics.completed, 40u) << "chunk " << chunk;
+    std::set<std::uint64_t> ids;
+    for (std::size_t i = 0; i < report.results.size(); ++i) {
+      EXPECT_EQ(report.results[i].id, i);  // sorted, no gaps, no duplicates
+      ids.insert(report.results[i].id);
+    }
+    EXPECT_EQ(ids.size(), 40u);
+    EXPECT_GT(report.metrics.throughput_rps, 0.0);
+    EXPECT_GE(report.metrics.batches, 10u);  // 40 requests, max_batch 4
+    EXPECT_LE(report.metrics.max_batch_size, 4u);
   }
-  EXPECT_EQ(ids.size(), 40u);
-  EXPECT_GT(report.metrics.throughput_rps, 0.0);
-  EXPECT_GE(report.metrics.batches, 10u);  // 40 requests, max_batch 4
-  EXPECT_LE(report.metrics.max_batch_size, 4u);
 }
 
 TEST(Server, MultiWorkerBitIdenticalToSingleThreadedReference) {
-  Server server(tiny_server("haan", 4));
-  const auto workload = generate_workload(small_workload(48, server.config().model));
+  for (const std::size_t chunk : kPrefillChunks) {
+    Server server(tiny_server("haan", 4, chunk));
+    const auto workload =
+        generate_workload(small_workload(48, server.config().model));
 
-  const auto reference = server.run_reference(workload);
-  const auto concurrent = server.run(workload);
+    const auto reference = server.run_reference(workload);
+    const auto concurrent = server.run(workload);
 
-  ASSERT_EQ(concurrent.results.size(), reference.results.size());
-  for (std::size_t i = 0; i < concurrent.results.size(); ++i) {
-    EXPECT_EQ(concurrent.results[i].id, reference.results[i].id);
-    EXPECT_EQ(concurrent.results[i].hidden_checksum,
-              reference.results[i].hidden_checksum)
-        << "request " << i;
-    // Full bit-for-bit hidden-state comparison, not just checksums.
-    ASSERT_EQ(concurrent.results[i].hidden.size(), reference.results[i].hidden.size());
-    for (std::size_t j = 0; j < concurrent.results[i].hidden.size(); ++j) {
-      ASSERT_EQ(concurrent.results[i].hidden[j], reference.results[i].hidden[j])
-          << "request " << i << " element " << j;
+    ASSERT_EQ(concurrent.results.size(), reference.results.size());
+    for (std::size_t i = 0; i < concurrent.results.size(); ++i) {
+      EXPECT_EQ(concurrent.results[i].id, reference.results[i].id);
+      EXPECT_EQ(concurrent.results[i].hidden_checksum,
+                reference.results[i].hidden_checksum)
+          << "chunk " << chunk << " request " << i;
+      // Full bit-for-bit hidden-state comparison, not just checksums.
+      ASSERT_EQ(concurrent.results[i].hidden.size(),
+                reference.results[i].hidden.size());
+      for (std::size_t j = 0; j < concurrent.results[i].hidden.size(); ++j) {
+        ASSERT_EQ(concurrent.results[i].hidden[j],
+                  reference.results[i].hidden[j])
+            << "chunk " << chunk << " request " << i << " element " << j;
+      }
     }
   }
 }
 
 TEST(Server, AggregatedHaanCountersMatchReference) {
-  Server server(tiny_server("haan", 4));
-  const auto workload = generate_workload(small_workload(32, server.config().model));
+  for (const std::size_t chunk : kPrefillChunks) {
+    Server server(tiny_server("haan", 4, chunk));
+    const auto workload =
+        generate_workload(small_workload(32, server.config().model));
 
-  const auto reference = server.run_reference(workload);
-  const auto concurrent = server.run(workload);
+    const auto reference = server.run_reference(workload);
+    const auto concurrent = server.run(workload);
 
-  EXPECT_EQ(concurrent.metrics.norm.norm_calls, reference.metrics.norm.norm_calls);
-  EXPECT_EQ(concurrent.metrics.norm.isd_computed,
-            reference.metrics.norm.isd_computed);
-  EXPECT_EQ(concurrent.metrics.norm.isd_predicted,
-            reference.metrics.norm.isd_predicted);
-  EXPECT_EQ(concurrent.metrics.norm.elements_read,
-            reference.metrics.norm.elements_read);
-  EXPECT_GT(concurrent.metrics.norm.norm_calls, 0u);
+    EXPECT_EQ(concurrent.metrics.norm.norm_calls,
+              reference.metrics.norm.norm_calls)
+        << "chunk " << chunk;
+    EXPECT_EQ(concurrent.metrics.norm.isd_computed,
+              reference.metrics.norm.isd_computed)
+        << "chunk " << chunk;
+    EXPECT_EQ(concurrent.metrics.norm.isd_predicted,
+              reference.metrics.norm.isd_predicted)
+        << "chunk " << chunk;
+    EXPECT_EQ(concurrent.metrics.norm.elements_read,
+              reference.metrics.norm.elements_read)
+        << "chunk " << chunk;
+    EXPECT_GT(concurrent.metrics.norm.norm_calls, 0u);
+  }
 }
 
 TEST(Server, WorkerCountDoesNotChangeOutputs) {
