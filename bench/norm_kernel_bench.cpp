@@ -5,10 +5,17 @@
 // bench/kernel_baseline.json; --min-speedup gates CI on the fused vectorized
 // residual_add_rmsnorm at d=4096 staying ahead of the seed path.
 //
+// The linear section times KernelTable::linear per backend in GMAC/s on the
+// gpt2-117m surrogate's projection shapes (1040-row prefill packs and 5-row
+// decode packs), fails the run if any backend's output differs from scalar
+// by a single bit, and --min-linear-speedup gates the dispatched kernel
+// against scalar at 1040x128x512.
+//
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -190,6 +197,85 @@ RowBlockTimings time_provider_rowblock(model::NormProvider& provider,
   return t;
 }
 
+/// One projection shape of the linear section: (n x in) * (out x in)^T.
+struct LinearShape {
+  std::size_t n, in, out;
+};
+
+struct LinearSection {
+  common::Json::Array entries;
+  double speedup_1040x128x512 = 0.0;  ///< dispatched vs scalar
+  bool bit_identical = true;
+};
+
+/// Times KernelTable::linear for every backend family on each shape and
+/// checks each backend's output bytes against scalar.
+LinearSection run_linear_section(double target_ms) {
+  const LinearShape shapes[] = {{1040, 128, 128}, {1040, 128, 512},
+                                {1040, 512, 128}, {5, 128, 128},
+                                {5, 128, 512},    {5, 512, 128}};
+  LinearSection section;
+  common::Rng rng(0x11EA);
+  std::printf("--- linear: GMAC/s per backend (bit-identity vs scalar) ---\n");
+  for (const LinearShape& shape : shapes) {
+    std::vector<float> x(shape.n * shape.in), w(shape.out * shape.in),
+        bias(shape.out);
+    rng.fill_gaussian(x, 0.0, 1.0);
+    rng.fill_gaussian(w, 0.0, 0.1);
+    rng.fill_gaussian(bias, 0.0, 0.1);
+    const auto run = [&](const kernels::KernelTable& table,
+                         std::vector<float>& y) {
+      table.linear(shape.n, shape.in, shape.out, x.data(), shape.in, w.data(),
+                   shape.in, bias.data(), y.data(), shape.out);
+    };
+    std::vector<float> expected(shape.n * shape.out);
+    run(kernels::scalar_kernels(), expected);
+
+    const std::size_t macs = shape.n * shape.in * shape.out;
+    common::Json::Object gmacs;
+    double scalar_gmacs = 0.0, active_gmacs = 0.0;
+    std::string line;
+    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
+      std::vector<float> y(expected.size());
+      run(*table, y);
+      if (std::memcmp(y.data(), expected.data(), y.size() * sizeof(float)) !=
+          0) {
+        std::fprintf(stderr, "FAIL: linear %zux%zux%zu on %s differs from scalar\n",
+                     shape.n, shape.in, shape.out, table->name);
+        section.bit_identical = false;
+      }
+      const double ns_per_mac = time_ns_per_element(
+          [&] {
+            run(*table, y);
+            sink(y[0]);
+          },
+          macs, target_ms);
+      const double rate = ns_per_mac > 0.0 ? 1.0 / ns_per_mac : 0.0;
+      gmacs[table->name] = rate;
+      if (table == &kernels::scalar_kernels()) scalar_gmacs = rate;
+      if (table == &kernels::active()) active_gmacs = rate;
+      char cell[64];
+      std::snprintf(cell, sizeof(cell), "  %s %6.2f", table->name, rate);
+      line += cell;
+    }
+    const double speedup = scalar_gmacs > 0.0 ? active_gmacs / scalar_gmacs : 0.0;
+    common::Json::Object entry;
+    entry["n"] = shape.n;
+    entry["in"] = shape.in;
+    entry["out"] = shape.out;
+    entry["gmacs"] = gmacs;
+    entry["speedup_vs_scalar"] = speedup;
+    section.entries.push_back(entry);
+    if (shape.n == 1040 && shape.in == 128 && shape.out == 512) {
+      section.speedup_1040x128x512 = speedup;
+    }
+    std::printf("%4zux%3zux%3zu GMAC/s:%s  (%s %5.2fx scalar)\n", shape.n,
+                shape.in, shape.out, line.c_str(), kernels::active_name(),
+                speedup);
+  }
+  return section;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -202,6 +288,9 @@ int main(int argc, char** argv) {
                "fail unless the batched row-block provider path at d=4096, "
                "rows=64 beats the per-row provider path by this factor "
                "(0 disables)");
+  cli.add_flag("min-linear-speedup", "0",
+               "fail unless the dispatched linear kernel at 1040x128x512 "
+               "beats the scalar reference by this factor (0 disables)");
   cli.add_flag("json", "", "write the report as JSON to this path");
   cli.add_flag("tune", "0",
                "run the autotune sweep: per (d, rows) cell compare the static "
@@ -479,6 +568,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  const LinearSection linear = run_linear_section(target_ms);
+
   common::Json::Object doc;
   doc["bench"] = "norm_kernel_bench";
   doc["active_kernel"] = kernels::active_name();
@@ -494,6 +585,9 @@ int main(int argc, char** argv) {
   doc["rowblock_rows"] = rows_json;
   doc["rowblock_results"] = rowblock_results;
   doc["rowblock_speedup_d4096_rows64"] = rowblock_speedup_4096x64;
+  doc["linear"] = linear.entries;
+  doc["linear_speedup_1040x128x512"] = linear.speedup_1040x128x512;
+  doc["linear_bit_identical"] = linear.bit_identical;
   if (tune) doc["tune"] = tune_doc;
 
   const std::string json_path = cli.get("json");
@@ -518,6 +612,16 @@ int main(int argc, char** argv) {
                  "FAIL: row-block provider path at d=4096, rows=64 is %.2fx "
                  "the per-row path (< required %.2fx)\n",
                  rowblock_speedup_4096x64, min_rowblock_speedup);
+    return 1;
+  }
+  if (!linear.bit_identical) return 1;
+  const double min_linear_speedup = cli.get_double("min-linear-speedup");
+  if (min_linear_speedup > 0.0 &&
+      linear.speedup_1040x128x512 < min_linear_speedup) {
+    std::fprintf(stderr,
+                 "FAIL: dispatched linear at 1040x128x512 is %.2fx scalar "
+                 "(< required %.2fx)\n",
+                 linear.speedup_1040x128x512, min_linear_speedup);
     return 1;
   }
   if (!tune_ok) return 1;

@@ -6,7 +6,8 @@
 // Reductions widen to double lanes (two accumulators per moment) and so
 // reassociate relative to the scalar reference; elementwise kernels perform
 // the same rounding steps as scalar and are bit-identical except where the
-// header's tolerance contract says otherwise (FP16 NaN payloads).
+// header's tolerance contract says otherwise (FP16 NaN payloads). The
+// projection kernel (linear_x86.hpp) is bit-identical to scalar.
 #include "kernels/backends.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -16,6 +17,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+
+#include "kernels/linear_x86.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -418,6 +421,7 @@ constexpr KernelTable kAvx2Table = {
     residual_add_stats_rows_t<false>,
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx2,
+    linear_x86<2>,
 };
 
 // Variant tables share every per-row kernel with the base; only the
@@ -438,6 +442,7 @@ constexpr KernelTable kAvx2PfTable = {
     residual_add_stats_rows_t<true>,
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx2,
+    linear_x86<2>,
 };
 
 constexpr KernelTable kAvx2NtTable = {
@@ -454,6 +459,7 @@ constexpr KernelTable kAvx2NtTable = {
     residual_add_stats_rows_t<false>,
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx2,
+    linear_x86<2>,
 };
 
 constexpr KernelTable kAvx2NtPfTable = {
@@ -470,6 +476,7 @@ constexpr KernelTable kAvx2NtPfTable = {
     residual_add_stats_rows_t<true>,
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx2,
+    linear_x86<2>,
 };
 
 constexpr const KernelTable* kAvx2Variants[] = {&kAvx2PfTable, &kAvx2NtTable,

@@ -12,7 +12,9 @@
 // lanes (two accumulators per moment, mirroring the AVX2 structure) and so
 // reassociate relative to the scalar reference; elementwise kernels perform
 // the same rounding steps as scalar and are bit-identical except where the
-// header's tolerance contract says otherwise (FP16 NaN payloads).
+// header's tolerance contract says otherwise (FP16 NaN payloads). The
+// projection kernel (linear_x86.hpp) runs 256-bit lanes and is bit-identical
+// to scalar.
 //
 // The row-block kernels come in prefetch (template kPF) and nontemporal
 // (template kNT) flavours exported as the "avx512-pf"/"-nt"/"-ntpf" variant
@@ -30,6 +32,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+
+#include "kernels/linear_x86.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -473,6 +477,7 @@ constexpr KernelTable kAvx512Table = {
     residual_add_stats_rows_t<false>,
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx512,
+    linear_x86<4>,
 };
 
 // Variant tables share every per-row kernel with the base; only the
@@ -493,6 +498,7 @@ constexpr KernelTable kAvx512PfTable = {
     residual_add_stats_rows_t<true>,
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx512,
+    linear_x86<4>,
 };
 
 constexpr KernelTable kAvx512NtTable = {
@@ -509,6 +515,7 @@ constexpr KernelTable kAvx512NtTable = {
     residual_add_stats_rows_t<false>,
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx512,
+    linear_x86<4>,
 };
 
 constexpr KernelTable kAvx512NtPfTable = {
@@ -525,6 +532,7 @@ constexpr KernelTable kAvx512NtPfTable = {
     residual_add_stats_rows_t<true>,
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx512,
+    linear_x86<4>,
 };
 
 constexpr const KernelTable* kAvx512Variants[] = {

@@ -1,13 +1,14 @@
-// Runtime-dispatched normalization kernels: the vectorized hot loops behind
-// every norm in the repo. One KernelTable per backend (portable scalar, AVX2,
-// NEON); dispatch picks the widest backend the CPU supports once at first use,
-// with `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
+// Runtime-dispatched kernels: the vectorized hot loops behind every norm and
+// every projection in the repo. One KernelTable per backend (portable scalar,
+// AVX2, AVX-512, NEON); dispatch picks the widest backend the CPU supports
+// once at first use, with `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
 //
 // The scalar backend is the semantic reference: it reproduces the seed
-// `tensor::norm_ref` / `core::subsample` arithmetic bit for bit (same
-// accumulation order, same double intermediates, same float rounding points).
-// SIMD backends are tested against it under the per-kernel tolerance contract
-// documented on each KernelTable entry.
+// `tensor::norm_ref` / `core::subsample` / `tensor::linear` arithmetic bit for
+// bit (same accumulation order, same double intermediates, same float
+// rounding points). SIMD backends are tested against it under the per-kernel
+// tolerance contract documented on each KernelTable entry; `linear` is not
+// under that contract but bit-identical in every backend (see its entry).
 #pragma once
 
 #include <cstddef>
@@ -122,6 +123,29 @@ struct KernelTable {
   void (*quantize_dequantize_rows)(float* x, std::size_t rows, std::size_t d,
                                    numerics::NumericFormat format,
                                    const float* scales);
+
+  // --- Projection kernel -----------------------------------------------
+
+  /// y = x * W^T + bias over strided row-major views: for i in [0, n) and
+  /// o in [0, out),
+  ///   y[i*ldy + o] = (float)(b_o + sum over p = 0, 1, ..., in-1 of
+  ///                          (double)x[i*ldx + p] * (double)w[o*ldw + p])
+  /// where b_o = (double)bias[o], or 0.0 when `bias` is null. The sum runs in
+  /// ascending p, one double accumulator per output. ld* >= the row length
+  /// they stride (in for x and w, out for y); y must not alias x or w.
+  ///
+  /// Bit-identical in every backend, not tolerance-equal: SIMD backends
+  /// vectorize across outputs (each lane owns one output's whole chain) and
+  /// never across p, so every output sees the scalar reference's exact
+  /// sequence of roundings. They may use FMA: a float x float product is
+  /// exact in double (24 + 24 significand bits < 53), so
+  /// fma(x, w, acc) rounds exactly like acc + x * w. NaN results are NaN in
+  /// every backend; their bits match too when every NaN input carries the
+  /// platform's default NaN encoding, since which operand's payload an add
+  /// propagates is up to the instruction the compiler picks.
+  void (*linear)(std::size_t n, std::size_t in, std::size_t out,
+                 const float* x, std::size_t ldx, const float* w,
+                 std::size_t ldw, const float* bias, float* y, std::size_t ldy);
 };
 
 /// Maps an empty span to the nullptr the kernel tables use for "no affine

@@ -2,7 +2,8 @@
 // feature check is needed; the dispatcher uses this table whenever the build
 // targets aarch64 and scalar is not forced. Mirrors the AVX2 backend: double
 // accumulators for reductions, elementwise kernels bit-identical to scalar
-// under the header's tolerance contract.
+// under the header's tolerance contract, and a projection kernel that is
+// bit-identical to scalar (see KernelTable::linear).
 #include "kernels/backends.hpp"
 
 #if defined(__aarch64__)
@@ -11,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace haan::kernels {
 namespace {
@@ -276,6 +279,95 @@ void quantize_dequantize_rows_neon(float* x, std::size_t rows, std::size_t d,
   }
 }
 
+// Projection kernel, the layout of linear_x86.hpp at 128-bit width: panels
+// of kLinearPanel outputs packed transposed as doubles into per-thread
+// scratch, 4-row tiles holding 16 two-lane accumulators (of AdvSIMD's 32
+// registers), lanes across outputs and p ascending. vfmaq_f64 rounds exactly
+// like the scalar multiply-add because a float x float product is exact in
+// double.
+constexpr std::size_t kLinearPanel = 8;
+constexpr std::size_t kLinearRows = 4;
+
+void pack_linear_panel_neon(const float* w, std::size_t ldw, std::size_t in,
+                            std::size_t cols, double* panel) {
+  for (std::size_t c = 0; c < cols; ++c) {
+    const float* wc = w + c * ldw;
+    for (std::size_t p = 0; p < in; ++p) panel[p * kLinearPanel + c] = wc[p];
+  }
+  for (std::size_t c = cols; c < kLinearPanel; ++c) {
+    for (std::size_t p = 0; p < in; ++p) panel[p * kLinearPanel + c] = 0.0;
+  }
+}
+
+template <std::size_t R>
+void linear_tile_neon(const float* x, std::size_t ldx, const double* panel,
+                      std::size_t in, const double* init, std::size_t cols,
+                      float* y, std::size_t ldy) {
+  constexpr std::size_t kV = kLinearPanel / 2;
+  float64x2_t acc[R][kV];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < kV; ++v) acc[r][v] = vld1q_f64(init + 2 * v);
+  }
+  for (std::size_t p = 0; p < in; ++p) {
+    const double* wp = panel + p * kLinearPanel;
+    float64x2_t wv[kV];
+    for (std::size_t v = 0; v < kV; ++v) wv[v] = vld1q_f64(wp + 2 * v);
+    for (std::size_t r = 0; r < R; ++r) {
+      const float64x2_t xb = vdupq_n_f64(static_cast<double>(x[r * ldx + p]));
+      for (std::size_t v = 0; v < kV; ++v) {
+        acc[r][v] = vfmaq_f64(acc[r][v], xb, wv[v]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    float tail[kLinearPanel];
+    for (std::size_t v = 0; v < kV; ++v) {
+      vst1_f32(tail + 2 * v, vcvt_f32_f64(acc[r][v]));
+    }
+    std::memcpy(y + r * ldy, tail, cols * sizeof(float));
+  }
+}
+
+void linear_neon(std::size_t n, std::size_t in, std::size_t out,
+                 const float* x, std::size_t ldx, const float* w,
+                 std::size_t ldw, const float* bias, float* y,
+                 std::size_t ldy) {
+  thread_local std::vector<double> panel;
+  panel.resize(std::max(panel.size(),
+                        std::max<std::size_t>(in, 1) * kLinearPanel));
+  for (std::size_t o0 = 0; o0 < out; o0 += kLinearPanel) {
+    const std::size_t cols = std::min(kLinearPanel, out - o0);
+    double init[kLinearPanel] = {};
+    if (bias != nullptr) {
+      for (std::size_t c = 0; c < cols; ++c) init[c] = bias[o0 + c];
+    }
+    pack_linear_panel_neon(w + o0 * ldw, ldw, in, cols, panel.data());
+    std::size_t i = 0;
+    for (; i + kLinearRows <= n; i += kLinearRows) {
+      linear_tile_neon<kLinearRows>(x + i * ldx, ldx, panel.data(), in, init,
+                                    cols, y + i * ldy + o0, ldy);
+    }
+    const float* x_tail = x + i * ldx;
+    float* y_tail = y + i * ldy + o0;
+    switch (n - i) {
+      case 3:
+        linear_tile_neon<3>(x_tail, ldx, panel.data(), in, init, cols, y_tail,
+                            ldy);
+        break;
+      case 2:
+        linear_tile_neon<2>(x_tail, ldx, panel.data(), in, init, cols, y_tail,
+                            ldy);
+        break;
+      case 1:
+        linear_tile_neon<1>(x_tail, ldx, panel.data(), in, init, cols, y_tail,
+                            ldy);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 constexpr KernelTable kNeonTable = {
     "neon",
     stats_neon,
@@ -290,6 +382,7 @@ constexpr KernelTable kNeonTable = {
     residual_add_stats_rows_neon,
     normalize_affine_rows_neon,
     quantize_dequantize_rows_neon,
+    linear_neon,
 };
 
 }  // namespace

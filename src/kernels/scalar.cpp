@@ -1,8 +1,9 @@
 // Portable scalar backend: the bit-exact reference every SIMD backend is
-// tested against. The loop bodies reproduce the seed's `tensor::norm_ref` and
-// `core::subsample` arithmetic exactly — same accumulation order, same double
-// intermediates, same float rounding points — so HAAN_FORCE_SCALAR=1 runs are
-// bit-identical to the pre-kernel-layer implementation.
+// tested against. The loop bodies reproduce the seed's `tensor::norm_ref`,
+// `core::subsample` and `tensor::linear` arithmetic exactly — same
+// accumulation order, same double intermediates, same float rounding points —
+// so HAAN_FORCE_SCALAR=1 runs are bit-identical to the pre-kernel-layer
+// implementation.
 #include "kernels/kernels.hpp"
 
 #include <algorithm>
@@ -130,6 +131,24 @@ void quantize_dequantize_rows_scalar(float* x, std::size_t rows, std::size_t d,
   }
 }
 
+void linear_scalar(std::size_t n, std::size_t in, std::size_t out,
+                   const float* x, std::size_t ldx, const float* w,
+                   std::size_t ldw, const float* bias, float* y,
+                   std::size_t ldy) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* x_row = x + i * ldx;
+    float* y_row = y + i * ldy;
+    for (std::size_t o = 0; o < out; ++o) {
+      const float* w_row = w + o * ldw;
+      double acc = bias == nullptr ? 0.0 : bias[o];
+      for (std::size_t p = 0; p < in; ++p) {
+        acc += static_cast<double>(x_row[p]) * static_cast<double>(w_row[p]);
+      }
+      y_row[o] = static_cast<float>(acc);
+    }
+  }
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",
     stats_scalar,
@@ -144,6 +163,7 @@ constexpr KernelTable kScalarTable = {
     residual_add_stats_rows_scalar,
     normalize_affine_rows_scalar,
     quantize_dequantize_rows_scalar,
+    linear_scalar,
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "model/transformer.hpp"
 
 #include "common/assert.hpp"
+#include "kernels/kernels.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -120,10 +121,13 @@ std::vector<float> Transformer::last_logits(std::span<const int> tokens,
 std::vector<float> Transformer::logits_for_hidden_row(
     std::span<const float> row) const {
   HAAN_EXPECTS(row.size() == config_.d_model);
-  std::vector<float> logits(config_.vocab_size);
-  for (std::size_t v = 0; v < config_.vocab_size; ++v) {
-    logits[v] = static_cast<float>(tensor::dot(row, weights_.embedding.row(v)));
-  }
+  // Tied embeddings: logits = row * E^T, one projection-kernel call.
+  const std::size_t d = config_.d_model;
+  const std::size_t vocab = config_.vocab_size;
+  std::vector<float> logits(vocab);
+  kernels::active().linear(1, d, vocab, row.data(), d,
+                           weights_.embedding.data().data(), d, nullptr,
+                           logits.data(), vocab);
   return logits;
 }
 

@@ -5,28 +5,9 @@
 #include <limits>
 
 #include "common/assert.hpp"
+#include "kernels/kernels.hpp"
 
 namespace haan::tensor {
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  HAAN_EXPECTS(a.shape().rank() == 2 && b.shape().rank() == 2);
-  const std::size_t m = a.shape().dim(0);
-  const std::size_t k = a.shape().dim(1);
-  HAAN_EXPECTS(b.shape().dim(0) == k);
-  const std::size_t n = b.shape().dim(1);
-  Tensor c(Shape{m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto a_row = a.row(i);
-    const auto c_row = c.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const float a_ip = a_row[p];
-      if (a_ip == 0.0f) continue;
-      const auto b_row = b.row(p);
-      for (std::size_t j = 0; j < n; ++j) c_row[j] += a_ip * b_row[j];
-    }
-  }
-  return c;
-}
 
 Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
   HAAN_EXPECTS(x.shape().rank() == 2 && w.shape().rank() == 2);
@@ -36,18 +17,9 @@ Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
   HAAN_EXPECTS(w.shape().dim(1) == in);
   HAAN_EXPECTS(bias.empty() || bias.size() == out);
   Tensor y(Shape{n, out});
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto x_row = x.row(i);
-    const auto y_row = y.row(i);
-    for (std::size_t o = 0; o < out; ++o) {
-      const auto w_row = w.row(o);
-      double acc = bias.empty() ? 0.0 : bias[o];
-      for (std::size_t p = 0; p < in; ++p) {
-        acc += static_cast<double>(x_row[p]) * static_cast<double>(w_row[p]);
-      }
-      y_row[o] = static_cast<float>(acc);
-    }
-  }
+  kernels::active().linear(n, in, out, x.data().data(), in, w.data().data(),
+                           in, kernels::data_or_null(bias), y.data().data(),
+                           out);
   return y;
 }
 

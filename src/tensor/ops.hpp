@@ -1,6 +1,8 @@
-// Tensor operations for the transformer simulator: matmul, row softmax,
-// activations, elementwise arithmetic, reductions. All reference-grade float
-// implementations; performance only needs to support width-scaled surrogates.
+// Tensor operations for the transformer simulator: projections, row softmax,
+// activations, elementwise arithmetic, reductions. `linear` runs on the
+// dispatched kernel table (KernelTable::linear, bit-identical in every
+// backend), so it carries the forward's projection cost at SIMD speed; the
+// rest are plain float loops whose cost is small next to it.
 #pragma once
 
 #include <span>
@@ -9,11 +11,11 @@
 
 namespace haan::tensor {
 
-/// C = A(mxk) * B(kxn). Shapes validated.
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// y = x * W^T + b, where x is (n x in), w is (out x in), b has length out.
-/// The (out x in) weight layout matches how the model stores projections.
+/// y = x * W^T + b, where x is (n x in), w is (out x in), b has length out
+/// (or is empty). The (out x in) weight layout matches how the model stores
+/// projections. A thin wrapper over kernels::active().linear: each output
+/// accumulates in double over ascending inputs, so HAAN_FORCE_SCALAR=1 and
+/// every SIMD backend give the same bits.
 Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias);
 
 /// In-place numerically stable softmax over the last axis of a rank-2 tensor.
