@@ -11,14 +11,26 @@
 // by a single bit, and --min-linear-speedup gates the dispatched kernel
 // against scalar at 1040x128x512.
 //
+// The gelu section times KernelTable::gelu per backend in ns/element on a
+// 1040x512 block (a 1040-row prefill pack's MLP activations), fails the run
+// if any backend's output differs from scalar by a single bit, and
+// --min-gelu-speedup gates the dispatched kernel against scalar there.
+// --gelu-all-inputs additionally checks the dispatched kernel against scalar
+// on every one of the 2^32 float inputs (about 30 s on 4 vCPUs).
+//
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -276,6 +288,108 @@ LinearSection run_linear_section(double target_ms) {
   return section;
 }
 
+struct GeluSection {
+  common::Json::Object ns_per_element;  ///< per backend family
+  double speedup = 0.0;                 ///< dispatched vs scalar
+  bool bit_identical = true;
+};
+
+/// Times KernelTable::gelu for every backend family on a 1040 x 512 block of
+/// N(0, 1) activations and checks each backend's output bytes against
+/// scalar. Each timed call first restores the block with a memcpy, which
+/// the ns/element figure includes.
+GeluSection run_gelu_section(double target_ms) {
+  constexpr std::size_t kRows = 1040;
+  constexpr std::size_t kCols = 512;
+  constexpr std::size_t kCount = kRows * kCols;
+  std::vector<float> input(kCount);
+  common::Rng rng(0x6E1u);
+  rng.fill_gaussian(input, 0.0, 1.0);
+  std::vector<float> expected = input;
+  kernels::scalar_kernels().gelu(expected.data(), kCount);
+
+  GeluSection section;
+  double scalar_ns = 0.0, active_ns = 0.0;
+  std::string line;
+  std::printf("--- gelu: ns/element per backend on %zux%zu (bit-identity vs "
+              "scalar) ---\n",
+              kRows, kCols);
+  for (const kernels::KernelTable* table : kernels::supported_kernels()) {
+    std::vector<float> work = input;
+    table->gelu(work.data(), kCount);
+    if (std::memcmp(work.data(), expected.data(), kCount * sizeof(float)) !=
+        0) {
+      std::fprintf(stderr, "FAIL: gelu on %s differs from scalar\n",
+                   table->name);
+      section.bit_identical = false;
+    }
+    const double ns = time_ns_per_element(
+        [&] {
+          std::memcpy(work.data(), input.data(), kCount * sizeof(float));
+          table->gelu(work.data(), kCount);
+          sink(work[0]);
+        },
+        kCount, target_ms);
+    section.ns_per_element[table->name] = ns;
+    if (table == &kernels::scalar_kernels()) scalar_ns = ns;
+    if (table == &kernels::active()) active_ns = ns;
+    char cell[64];
+    std::snprintf(cell, sizeof(cell), "  %s %6.2f", table->name, ns);
+    line += cell;
+  }
+  section.speedup = active_ns > 0.0 ? scalar_ns / active_ns : 0.0;
+  std::printf("ns/element:%s  (%s %5.2fx scalar)\n", line.c_str(),
+              kernels::active_name(), section.speedup);
+  return section;
+}
+
+/// Runs the dispatched gelu and the scalar reference over all 2^32 float
+/// bit patterns on `threads` workers and returns how many outputs differ
+/// (NaN matches any NaN: the payload is outside the contract).
+std::uint64_t gelu_all_inputs_mismatches(unsigned threads) {
+  constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+  constexpr std::size_t kBlock = 1 << 14;
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<float> expected(kBlock), actual(kBlock);
+      std::uint64_t local = 0;
+      for (std::uint64_t base = t * kBlock; base < kAll;
+           base += std::uint64_t{threads} * kBlock) {
+        for (std::size_t i = 0; i < kBlock; ++i) {
+          expected[i] =
+              std::bit_cast<float>(static_cast<std::uint32_t>(base + i));
+        }
+        actual = expected;
+        kernels::scalar_kernels().gelu(expected.data(), kBlock);
+        kernels::active().gelu(actual.data(), kBlock);
+        if (std::memcmp(expected.data(), actual.data(),
+                        kBlock * sizeof(float)) == 0) {
+          continue;
+        }
+        for (std::size_t i = 0; i < kBlock; ++i) {
+          if (std::isnan(expected[i]) && std::isnan(actual[i])) continue;
+          if (std::bit_cast<std::uint32_t>(expected[i]) !=
+              std::bit_cast<std::uint32_t>(actual[i])) {
+            if (local++ == 0) {
+              std::fprintf(stderr,
+                           "gelu input %08x: scalar %08x, %s %08x\n",
+                           static_cast<unsigned>(base + i),
+                           std::bit_cast<std::uint32_t>(expected[i]),
+                           kernels::active_name(),
+                           std::bit_cast<std::uint32_t>(actual[i]));
+            }
+          }
+        }
+      }
+      mismatches += local;
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  return mismatches.load();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -291,6 +405,12 @@ int main(int argc, char** argv) {
   cli.add_flag("min-linear-speedup", "0",
                "fail unless the dispatched linear kernel at 1040x128x512 "
                "beats the scalar reference by this factor (0 disables)");
+  cli.add_flag("min-gelu-speedup", "0",
+               "fail unless the dispatched gelu kernel on the 1040x512 block "
+               "beats the scalar reference by this factor (0 disables)");
+  cli.add_flag("gelu-all-inputs", "0",
+               "check the dispatched gelu kernel against scalar on all 2^32 "
+               "float inputs (up to 4 threads) and fail on any difference");
   cli.add_flag("json", "", "write the report as JSON to this path");
   cli.add_flag("tune", "0",
                "run the autotune sweep: per (d, rows) cell compare the static "
@@ -569,6 +689,23 @@ int main(int argc, char** argv) {
   }
 
   const LinearSection linear = run_linear_section(target_ms);
+  const GeluSection gelu = run_gelu_section(target_ms);
+  const bool gelu_all_inputs = cli.get_bool("gelu-all-inputs");
+  std::uint64_t gelu_all_mismatches = 0;
+  if (gelu_all_inputs) {
+    const unsigned threads =
+        std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+    const auto begin = std::chrono::steady_clock::now();
+    gelu_all_mismatches = gelu_all_inputs_mismatches(threads);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - begin)
+                               .count();
+    std::printf("gelu all 2^32 inputs, %s vs scalar: %llu mismatches "
+                "(%u threads, %.1f s)\n",
+                kernels::active_name(),
+                static_cast<unsigned long long>(gelu_all_mismatches), threads,
+                seconds);
+  }
 
   common::Json::Object doc;
   doc["bench"] = "norm_kernel_bench";
@@ -588,6 +725,10 @@ int main(int argc, char** argv) {
   doc["linear"] = linear.entries;
   doc["linear_speedup_1040x128x512"] = linear.speedup_1040x128x512;
   doc["linear_bit_identical"] = linear.bit_identical;
+  doc["gelu_ns_per_element_1040x512"] = gelu.ns_per_element;
+  doc["gelu_speedup_1040x512"] = gelu.speedup;
+  doc["gelu_bit_identical"] = gelu.bit_identical;
+  if (gelu_all_inputs) doc["gelu_all_inputs_mismatches"] = gelu_all_mismatches;
   if (tune) doc["tune"] = tune_doc;
 
   const std::string json_path = cli.get("json");
@@ -622,6 +763,15 @@ int main(int argc, char** argv) {
                  "FAIL: dispatched linear at 1040x128x512 is %.2fx scalar "
                  "(< required %.2fx)\n",
                  linear.speedup_1040x128x512, min_linear_speedup);
+    return 1;
+  }
+  if (!gelu.bit_identical || gelu_all_mismatches != 0) return 1;
+  const double min_gelu_speedup = cli.get_double("min-gelu-speedup");
+  if (min_gelu_speedup > 0.0 && gelu.speedup < min_gelu_speedup) {
+    std::fprintf(stderr,
+                 "FAIL: dispatched gelu on 1040x512 is %.2fx scalar "
+                 "(< required %.2fx)\n",
+                 gelu.speedup, min_gelu_speedup);
     return 1;
   }
   if (!tune_ok) return 1;

@@ -7,7 +7,8 @@
 // reassociate relative to the scalar reference; elementwise kernels perform
 // the same rounding steps as scalar and are bit-identical except where the
 // header's tolerance contract says otherwise (FP16 NaN payloads). The
-// projection kernel (linear_x86.hpp) is bit-identical to scalar.
+// projection kernel (linear_x86.hpp) and the GELU kernel (gelu_x86.hpp) are
+// bit-identical to scalar.
 #include "kernels/backends.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -18,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "kernels/gelu_x86.hpp"
 #include "kernels/linear_x86.hpp"
 
 namespace haan::kernels {
@@ -422,6 +424,7 @@ constexpr KernelTable kAvx2Table = {
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx2,
     linear_x86<2>,
+    gelu_x86,
 };
 
 // Variant tables share every per-row kernel with the base; only the
@@ -443,6 +446,7 @@ constexpr KernelTable kAvx2PfTable = {
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx2,
     linear_x86<2>,
+    gelu_x86,
 };
 
 constexpr KernelTable kAvx2NtTable = {
@@ -460,6 +464,7 @@ constexpr KernelTable kAvx2NtTable = {
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx2,
     linear_x86<2>,
+    gelu_x86,
 };
 
 constexpr KernelTable kAvx2NtPfTable = {
@@ -477,6 +482,7 @@ constexpr KernelTable kAvx2NtPfTable = {
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx2,
     linear_x86<2>,
+    gelu_x86,
 };
 
 constexpr const KernelTable* kAvx2Variants[] = {&kAvx2PfTable, &kAvx2NtTable,

@@ -13,8 +13,8 @@
 // reassociate relative to the scalar reference; elementwise kernels perform
 // the same rounding steps as scalar and are bit-identical except where the
 // header's tolerance contract says otherwise (FP16 NaN payloads). The
-// projection kernel (linear_x86.hpp) runs 256-bit lanes and is bit-identical
-// to scalar.
+// projection kernel (linear_x86.hpp) and the GELU kernel (gelu_x86.hpp) run
+// 256-bit lanes and are bit-identical to scalar.
 //
 // The row-block kernels come in prefetch (template kPF) and nontemporal
 // (template kNT) flavours exported as the "avx512-pf"/"-nt"/"-ntpf" variant
@@ -33,6 +33,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "kernels/gelu_x86.hpp"
 #include "kernels/linear_x86.hpp"
 
 namespace haan::kernels {
@@ -478,6 +479,7 @@ constexpr KernelTable kAvx512Table = {
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx512,
     linear_x86<4>,
+    gelu_x86,
 };
 
 // Variant tables share every per-row kernel with the base; only the
@@ -499,6 +501,7 @@ constexpr KernelTable kAvx512PfTable = {
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx512,
     linear_x86<4>,
+    gelu_x86,
 };
 
 constexpr KernelTable kAvx512NtTable = {
@@ -516,6 +519,7 @@ constexpr KernelTable kAvx512NtTable = {
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx512,
     linear_x86<4>,
+    gelu_x86,
 };
 
 constexpr KernelTable kAvx512NtPfTable = {
@@ -533,6 +537,7 @@ constexpr KernelTable kAvx512NtPfTable = {
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx512,
     linear_x86<4>,
+    gelu_x86,
 };
 
 constexpr const KernelTable* kAvx512Variants[] = {

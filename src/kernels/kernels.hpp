@@ -1,14 +1,16 @@
-// Runtime-dispatched kernels: the vectorized hot loops behind every norm and
-// every projection in the repo. One KernelTable per backend (portable scalar,
-// AVX2, AVX-512, NEON); dispatch picks the widest backend the CPU supports
-// once at first use, with `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
+// Runtime-dispatched kernels: the vectorized hot loops behind every norm,
+// every projection and the MLP activation in the repo. One KernelTable per
+// backend (portable scalar, AVX2, AVX-512, NEON); dispatch picks the widest
+// backend the CPU supports once at first use, with `HAAN_FORCE_SCALAR=1`
+// forcing the scalar reference.
 //
 // The scalar backend is the semantic reference: it reproduces the seed
-// `tensor::norm_ref` / `core::subsample` / `tensor::linear` arithmetic bit for
-// bit (same accumulation order, same double intermediates, same float
-// rounding points). SIMD backends are tested against it under the per-kernel
-// tolerance contract documented on each KernelTable entry; `linear` is not
-// under that contract but bit-identical in every backend (see its entry).
+// `tensor::norm_ref` / `core::subsample` / `tensor::linear` /
+// `tensor::gelu_inplace` arithmetic bit for bit (same accumulation order,
+// same double intermediates, same float rounding points). SIMD backends are
+// tested against it under the per-kernel tolerance contract documented on
+// each KernelTable entry; `linear` and `gelu` are not under that contract
+// but bit-identical in every backend (see their entries).
 #pragma once
 
 #include <cstddef>
@@ -146,6 +148,21 @@ struct KernelTable {
   void (*linear)(std::size_t n, std::size_t in, std::size_t out,
                  const float* x, std::size_t ldx, const float* w,
                  std::size_t ldw, const float* bias, float* y, std::size_t ldy);
+
+  // --- Activation kernel -----------------------------------------------
+
+  /// GELU (tanh approximation) in place over x[0..n), in float:
+  ///   inner = 0.7978845608028654f * (v + ((0.044715f * v) * v) * v)
+  ///   x[i]  = (0.5f * v) * (1.0f + tanh_ref(inner))
+  /// with tanh_ref the fdlibm port declared below.
+  ///
+  /// Bit-identical in every backend, not tolerance-equal: SIMD backends
+  /// evaluate, lane-wise, every branch of tanh_ref and of its expm1 that a
+  /// float input can reach, with the same float operations in the same
+  /// order; they select each lane's branch with a blend and never fuse a
+  /// multiply into an add. NaN inputs give NaN in every backend; the payload
+  /// bits may differ, as for `linear`.
+  void (*gelu)(float* x, std::size_t n);
 };
 
 /// Maps an empty span to the nullptr the kernel tables use for "no affine
@@ -156,6 +173,12 @@ inline const float* data_or_null(std::span<const float> s) {
 
 /// The portable scalar backend (always available; the bit-exact reference).
 const KernelTable& scalar_kernels();
+
+/// tanh in float: a port of fdlibm's tanhf and the expm1f it calls, op for
+/// op, as glibc 2.36 ships them. It returns std::tanh's bits from that glibc
+/// on every float input (NaN for NaN, payload aside), so GELU's reference
+/// bits do not depend on the libm a build links.
+float tanh_ref(float x);
 
 /// The backend selected for this process: the widest SIMD backend the CPU
 /// supports, or scalar when HAAN_FORCE_SCALAR=1 is set in the environment.

@@ -2,8 +2,8 @@
 // feature check is needed; the dispatcher uses this table whenever the build
 // targets aarch64 and scalar is not forced. Mirrors the AVX2 backend: double
 // accumulators for reductions, elementwise kernels bit-identical to scalar
-// under the header's tolerance contract, and a projection kernel that is
-// bit-identical to scalar (see KernelTable::linear).
+// under the header's tolerance contract, and projection and GELU kernels that
+// are bit-identical to scalar (see KernelTable::linear and ::gelu).
 #include "kernels/backends.hpp"
 
 #if defined(__aarch64__)
@@ -368,6 +368,115 @@ void linear_neon(std::size_t n, std::size_t in, std::size_t out,
   }
 }
 
+// GELU: gelu_x86.hpp's lane-wise transcription of tanh_ref / expm1 at 4
+// lanes — every branch tanh's arguments take computed, the lane's own kept
+// by a blend, no fused multiply-add (the TU builds with -ffp-contract=off) —
+// so it is bit-identical to scalar.
+float32x4_t expm1_neon(float32x4_t x) {
+  const uint32x4_t bits = vreinterpretq_u32_f32(x);
+  const uint32x4_t hx = vandq_u32(bits, vdupq_n_u32(0x7fffffffu));
+  const uint32x4_t negative =
+      vreinterpretq_u32_s32(vshrq_n_s32(vreinterpretq_s32_u32(bits), 31));
+
+  const uint32x4_t reduce = vcgtq_u32(hx, vdupq_n_u32(0x3eb17218u));
+  const uint32x4_t near = vcltq_u32(hx, vdupq_n_u32(0x3f851592u));
+  const float32x4_t half =
+      vbslq_f32(negative, vdupq_n_f32(-0.5f), vdupq_n_f32(0.5f));
+  const int32x4_t k_far = vcvtq_s32_f32(
+      vaddq_f32(vmulq_f32(vdupq_n_f32(1.4426950216e+00f), x), half));
+  const int32x4_t k_near =
+      vorrq_s32(vreinterpretq_s32_u32(negative), vdupq_n_s32(1));
+  const int32x4_t k = vandq_s32(vbslq_s32(near, k_near, k_far),
+                                vreinterpretq_s32_u32(reduce));
+  const float32x4_t t = vcvtq_f32_s32(k);
+  const float32x4_t hi =
+      vsubq_f32(x, vmulq_f32(t, vdupq_n_f32(6.9313812256e-01f)));
+  const float32x4_t lo = vmulq_f32(t, vdupq_n_f32(9.0580006145e-06f));
+  const float32x4_t r = vsubq_f32(hi, lo);
+  const float32x4_t c = vsubq_f32(vsubq_f32(hi, r), lo);
+
+  const float32x4_t hfx = vmulq_f32(vdupq_n_f32(0.5f), r);
+  const float32x4_t hxs = vmulq_f32(r, hfx);
+  float32x4_t p = vmulq_f32(hxs, vdupq_n_f32(-2.0109921195e-07f));
+  p = vmulq_f32(hxs, vaddq_f32(vdupq_n_f32(4.0082177293e-06f), p));
+  p = vmulq_f32(hxs, vaddq_f32(vdupq_n_f32(-7.9365076090e-05f), p));
+  p = vmulq_f32(hxs, vaddq_f32(vdupq_n_f32(1.5873016091e-03f), p));
+  p = vmulq_f32(hxs, vaddq_f32(vdupq_n_f32(-3.3333335072e-02f), p));
+  const float32x4_t r1 = vaddq_f32(vdupq_n_f32(1.0f), p);
+  const float32x4_t t3 = vsubq_f32(vdupq_n_f32(3.0f), vmulq_f32(r1, hfx));
+  float32x4_t e = vmulq_f32(
+      hxs, vdivq_f32(vsubq_f32(r1, t3),
+                     vsubq_f32(vdupq_n_f32(6.0f), vmulq_f32(r, t3))));
+  const float32x4_t k0 = vsubq_f32(r, vsubq_f32(vmulq_f32(r, e), hxs));
+  e = vsubq_f32(vsubq_f32(vmulq_f32(r, vsubq_f32(e, c)), c), hxs);
+
+  const float32x4_t k_minus1 = vsubq_f32(
+      vmulq_f32(vdupq_n_f32(0.5f), vsubq_f32(r, e)), vdupq_n_f32(0.5f));
+  const uint32x4_t far = vorrq_u32(vcleq_s32(k, vdupq_n_s32(-2)),
+                                   vcgtq_s32(k, vdupq_n_s32(56)));
+  const uint32x4_t high = vbicq_u32(vcgtq_s32(k, vdupq_n_s32(22)), far);
+  const float32x4_t t_low = vbslq_f32(
+      far, vdupq_n_f32(1.0f),
+      vreinterpretq_f32_u32(vsubq_u32(
+          vdupq_n_u32(0x3f800000u),
+          vshlq_u32(vdupq_n_u32(0x1000000u), vnegq_s32(k)))));
+  const float32x4_t t_high = vreinterpretq_f32_s32(
+      vshlq_n_s32(vsubq_s32(vdupq_n_s32(0x7f), k), 23));
+  const float32x4_t y = vbslq_f32(
+      high,
+      vaddq_f32(vsubq_f32(r, vaddq_f32(e, t_high)), vdupq_n_f32(1.0f)),
+      vsubq_f32(t_low, vsubq_f32(e, r)));
+  const float32x4_t scaled = vreinterpretq_f32_s32(
+      vaddq_s32(vreinterpretq_s32_f32(y), vshlq_n_s32(k, 23)));
+
+  float32x4_t result =
+      vbslq_f32(far, vsubq_f32(scaled, vdupq_n_f32(1.0f)), scaled);
+  result = vbslq_f32(vceqq_s32(k, vdupq_n_s32(-1)), k_minus1, result);
+  result = vbslq_f32(vceqq_s32(k, vdupq_n_s32(0)), k0, result);
+  return vbslq_f32(vcltq_u32(hx, vdupq_n_u32(0x33000000u)), x, result);
+}
+
+float32x4_t tanh_neon(float32x4_t x) {
+  const uint32x4_t bits = vreinterpretq_u32_f32(x);
+  const uint32x4_t ix = vandq_u32(bits, vdupq_n_u32(0x7fffffffu));
+  const uint32x4_t at_least_1 = vcgeq_u32(ix, vdupq_n_u32(0x3f800000u));
+  const float32x4_t two_ax =
+      vmulq_f32(vdupq_n_f32(2.0f), vreinterpretq_f32_u32(ix));
+  const float32x4_t t =
+      expm1_neon(vbslq_f32(at_least_1, two_ax, vnegq_f32(two_ax)));
+  const float32x4_t q =
+      vdivq_f32(vbslq_f32(at_least_1, vdupq_n_f32(2.0f), vnegq_f32(t)),
+                vaddq_f32(t, vdupq_n_f32(2.0f)));
+  float32x4_t z = vbslq_f32(at_least_1, vsubq_f32(vdupq_n_f32(1.0f), q), q);
+  z = vbslq_f32(vcgeq_u32(ix, vdupq_n_u32(0x41b00000u)),
+                vdupq_n_f32(1.0f - 1.0e-30f), z);
+  z = vreinterpretq_f32_u32(veorq_u32(
+      vreinterpretq_u32_f32(z), vandq_u32(bits, vdupq_n_u32(0x80000000u))));
+  z = vbslq_f32(vcltq_u32(ix, vdupq_n_u32(0x24000000u)),
+                vmulq_f32(x, vaddq_f32(vdupq_n_f32(1.0f), x)), z);
+  return vbslq_f32(vmvnq_u32(vceqq_f32(x, x)), vaddq_f32(x, x), z);
+}
+
+float32x4_t gelu4_neon(float32x4_t v) {
+  const float32x4_t cube =
+      vmulq_f32(vmulq_f32(vmulq_f32(vdupq_n_f32(0.044715f), v), v), v);
+  const float32x4_t inner =
+      vmulq_f32(vdupq_n_f32(0.7978845608028654f), vaddq_f32(v, cube));
+  return vmulq_f32(vmulq_f32(vdupq_n_f32(0.5f), v),
+                   vaddq_f32(vdupq_n_f32(1.0f), tanh_neon(inner)));
+}
+
+void gelu_neon(float* x, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) vst1q_f32(x + i, gelu4_neon(vld1q_f32(x + i)));
+  if (i < n) {
+    float tail[4] = {};
+    std::memcpy(tail, x + i, (n - i) * sizeof(float));
+    vst1q_f32(tail, gelu4_neon(vld1q_f32(tail)));
+    std::memcpy(x + i, tail, (n - i) * sizeof(float));
+  }
+}
+
 constexpr KernelTable kNeonTable = {
     "neon",
     stats_neon,
@@ -383,6 +492,7 @@ constexpr KernelTable kNeonTable = {
     normalize_affine_rows_neon,
     quantize_dequantize_rows_neon,
     linear_neon,
+    gelu_neon,
 };
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Portable scalar backend: the bit-exact reference every SIMD backend is
 // tested against. The loop bodies reproduce the seed's `tensor::norm_ref`,
-// `core::subsample` and `tensor::linear` arithmetic exactly — same
-// accumulation order, same double intermediates, same float rounding points —
-// so HAAN_FORCE_SCALAR=1 runs are bit-identical to the pre-kernel-layer
-// implementation.
+// `core::subsample`, `tensor::linear` and `tensor::gelu_inplace` arithmetic
+// exactly — same accumulation order, same double intermediates, same float
+// rounding points — so HAAN_FORCE_SCALAR=1 runs are bit-identical to the
+// pre-kernel-layer implementation. GELU's tanh is an in-repo port of fdlibm's
+// tanhf (tanh_ref below), which gives glibc 2.36's std::tanh bits on every
+// float input, so the reference does not depend on the platform's libm.
 #include "kernels/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace haan::kernels {
 namespace {
@@ -149,6 +153,95 @@ void linear_scalar(std::size_t n, std::size_t in, std::size_t out,
   }
 }
 
+// fdlibm's expm1f (as shipped in glibc 2.36), op for op in float with the
+// polynomial in Horner form: any other evaluation order changes result bits.
+float expm1_scalar(float x) {
+  constexpr float kOne = 1.0f;
+  constexpr float kHuge = 1.0e+30f;
+  constexpr float kTiny = 1.0e-30f;
+  constexpr float kOverflow = 8.8721679688e+01f;  // 0x42b17180
+  constexpr float kLn2Hi = 6.9313812256e-01f;     // 0x3f317180
+  constexpr float kLn2Lo = 9.0580006145e-06f;     // 0x3717f7d1
+  constexpr float kInvLn2 = 1.4426950216e+00f;    // 0x3fb8aa3b
+  constexpr float kQ1 = -3.3333335072e-02f;
+  constexpr float kQ2 = 1.5873016091e-03f;
+  constexpr float kQ3 = -7.9365076090e-05f;
+  constexpr float kQ4 = 4.0082177293e-06f;
+  constexpr float kQ5 = -2.0109921195e-07f;
+
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(x);
+  const bool negative = (bits & 0x80000000u) != 0;
+  const std::uint32_t hx = bits & 0x7fffffffu;
+
+  if (hx >= 0x4195b844u) {    // |x| >= 27 ln2
+    if (hx >= 0x42b17218u) {  // |x| >= 88.72...
+      if (hx > 0x7f800000u) return x + x;  // NaN
+      if (hx == 0x7f800000u) return negative ? -1.0f : x;
+      if (x > kOverflow) return kHuge * kHuge;
+    }
+    if (negative) return kTiny - kOne;
+  }
+
+  // Argument reduction: x = k ln2 + r with |r| <= 0.5 ln2, r rounded to
+  // float as hi - lo and c its rounding error.
+  std::int32_t k = 0;
+  float c = 0.0f;
+  if (hx > 0x3eb17218u) {    // |x| > 0.5 ln2
+    float hi, lo;
+    if (hx < 0x3f851592u) {  // and |x| < 1.5 ln2
+      k = negative ? -1 : 1;
+      hi = negative ? x + kLn2Hi : x - kLn2Hi;
+      lo = negative ? -kLn2Lo : kLn2Lo;
+    } else {
+      k = static_cast<std::int32_t>(kInvLn2 * x + (negative ? -0.5f : 0.5f));
+      const float t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000u) {  // |x| < 2^-25: expm1(x) rounds to x
+    const float t = kHuge + x;
+    return x - (t - (kHuge + x));
+  }
+
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      kOne + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = x * (e - c) - c;
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    if (x < -0.25f) return -2.0f * (e - (x + 0.5f));
+    return kOne + 2.0f * (x - e);
+  }
+  // 2^k * (1 + r') - 1, with the 2^k applied by adding k to the exponent.
+  const auto scale = [k](float y) {
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(y) +
+                                (static_cast<std::uint32_t>(k) << 23));
+  };
+  if (k <= -2 || k > 56) return scale(kOne - (e - x)) - kOne;
+  if (k < 23) {
+    t = std::bit_cast<float>(0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    return scale(t - (e - x));
+  }
+  t = std::bit_cast<float>(static_cast<std::uint32_t>(0x7f - k) << 23);  // 2^-k
+  return scale((x - (e + t)) + kOne);
+}
+
+void gelu_scalar(float* x, std::size_t n) {
+  constexpr float kSqrt2OverPi = 0.7978845608028654f;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
+    x[i] = 0.5f * v * (1.0f + tanh_ref(inner));
+  }
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",
     stats_scalar,
@@ -164,10 +257,40 @@ constexpr KernelTable kScalarTable = {
     normalize_affine_rows_scalar,
     quantize_dequantize_rows_scalar,
     linear_scalar,
+    gelu_scalar,
 };
 
 }  // namespace
 
 const KernelTable& scalar_kernels() { return kScalarTable; }
+
+// fdlibm's tanhf (as shipped in glibc 2.36), op for op in float.
+float tanh_ref(float x) {
+  constexpr float kOne = 1.0f;
+  constexpr float kTwo = 2.0f;
+  constexpr float kTiny = 1.0e-30f;
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(x);
+  const bool negative = (bits & 0x80000000u) != 0;
+  const std::uint32_t ix = bits & 0x7fffffffu;
+
+  if (ix >= 0x7f800000u) {  // tanh(+-inf) = +-1, tanh(NaN) = NaN
+    return negative ? kOne / x - kOne : kOne / x + kOne;
+  }
+  float z;
+  if (ix < 0x41b00000u) {  // |x| < 22
+    if (ix == 0) return x;  // +-0
+    if (ix < 0x24000000u) return x * (kOne + x);  // |x| < 2^-55
+    if (ix >= 0x3f800000u) {  // |x| >= 1
+      const float t = expm1_scalar(kTwo * std::fabs(x));
+      z = kOne - kTwo / (t + kTwo);
+    } else {
+      const float t = expm1_scalar(-kTwo * std::fabs(x));
+      z = -t / (t + kTwo);
+    }
+  } else {
+    z = kOne - kTiny;  // |x| >= 22: +-1
+  }
+  return negative ? -z : z;
+}
 
 }  // namespace haan::kernels

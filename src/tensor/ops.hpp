@@ -1,8 +1,9 @@
 // Tensor operations for the transformer simulator: projections, row softmax,
-// activations, elementwise arithmetic, reductions. `linear` runs on the
-// dispatched kernel table (KernelTable::linear, bit-identical in every
-// backend), so it carries the forward's projection cost at SIMD speed; the
-// rest are plain float loops whose cost is small next to it.
+// activations, elementwise arithmetic, reductions. `linear` and `gelu_inplace`
+// run on the dispatched kernel table (KernelTable::linear and ::gelu, each
+// bit-identical in every backend), so the forward's projection and GELU cost
+// runs at SIMD speed. The rest are plain float loops; softmax and SiLU call
+// libm's exp.
 #pragma once
 
 #include <span>
@@ -25,7 +26,10 @@ void softmax_rows(Tensor& t);
 /// square): entry (i, j) with j > i is masked to -inf before softmax.
 void causal_softmax(Tensor& scores);
 
-/// Elementwise GELU (tanh approximation, as used by GPT-2 / OPT).
+/// Elementwise GELU (tanh approximation, as used by GPT-2 / OPT). A thin
+/// wrapper over kernels::active().gelu, whose tanh is the in-repo
+/// kernels::tanh_ref: HAAN_FORCE_SCALAR=1 and every SIMD backend give the
+/// same bits, on any libm.
 void gelu_inplace(Tensor& t);
 
 /// Elementwise SiLU (x * sigmoid(x), as used by LLaMA).

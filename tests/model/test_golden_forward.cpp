@@ -3,17 +3,20 @@
 // arithmetic, so a kernel that changed values in both would pass them all.
 // These cases pin the FNV-1a checksums of the gpt2-117m surrogate's hidden
 // states (and its greedy tokens) as constants recorded from the serial-loop
-// reference implementation: any backend of `kernels::KernelTable::linear`, and
-// HAAN_FORCE_SCALAR=1, must reproduce them bit for bit. (A kernel that only
-// reorders its double accumulation rarely moves a float result on model
-// activations; tests/kernels/test_linear_parity.cpp's cancelling-input case
-// catches that one.)
+// reference implementation: any backend of `kernels::KernelTable::linear` and
+// `kernels::KernelTable::gelu`, and HAAN_FORCE_SCALAR=1, must reproduce them
+// bit for bit. (A kernel that only reorders its double accumulation rarely
+// moves a float result on model activations;
+// tests/kernels/test_linear_parity.cpp's cancelling-input case catches that
+// one.)
 //
 // Normalization runs through a test-local provider pinned to the scalar
 // kernel table, because the SIMD norm kernels are only tolerance-equal to
 // scalar (see kernels.hpp); that keeps the constants independent of the CPU's
-// widest backend. The remaining libm calls (exp in softmax, tanh in GELU) make
-// the constants specific to the platform's libm, like every checksum here.
+// widest backend. GELU's tanh is not libm's but the in-repo port
+// kernels::tanh_ref, pinned to glibc 2.36's bits by
+// tests/kernels/test_gelu_parity.cpp. The one libm call left, exp in
+// softmax, makes the constants specific to the platform's libm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
