@@ -18,6 +18,13 @@
 // --gelu-all-inputs additionally checks the dispatched kernel against scalar
 // on every one of the 2^32 float inputs (about 30 s on 4 vCPUs).
 //
+// The attend section times KernelTable::attend per backend in ns per
+// multiply-add term (one p_j * v_j[c]) on the gpt2-117m surrogate's attention
+// shapes: a 192-token prefill (4 heads, d_head 32) and one decode row over a
+// 64-token context. It fails the run if any backend's output differs from
+// scalar by a single bit, and --min-attend-speedup gates the dispatched
+// kernel against scalar on the prefill shape.
+//
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
 #include <algorithm>
 #include <atomic>
@@ -42,6 +49,7 @@
 #include "mem/topology.hpp"
 #include "model/norm_provider.hpp"
 #include "numerics/formats.hpp"
+#include "tensor/ops.hpp"
 
 using namespace haan;
 
@@ -343,6 +351,99 @@ GeluSection run_gelu_section(double target_ms) {
   return section;
 }
 
+/// One attention shape of the attend section: `rows` query rows after a
+/// cached prefix of ctx0 rows, each of `heads` heads d_head wide.
+struct AttendShape {
+  const char* name;
+  std::size_t rows, ctx0, heads, d_head;
+};
+
+struct AttendSection {
+  common::Json::Array entries;
+  double speedup_prefill = 0.0;  ///< dispatched vs scalar
+  bool bit_identical = true;
+};
+
+/// Times KernelTable::attend for every backend family on each shape over
+/// every head (the layout causal attention uses: head slices of
+/// d_model-strided V and context rows, one probability block per head, each
+/// row a softmax over its causal prefix) and checks each backend's output
+/// bytes against scalar. Each timed call first zeroes the context block,
+/// which the ns figure includes.
+AttendSection run_attend_section(double target_ms) {
+  const AttendShape shapes[] = {{"prefill", 192, 0, 4, 32},
+                                {"decode", 1, 63, 4, 32}};
+  AttendSection section;
+  common::Rng rng(0xA77E);
+  std::printf("--- attend: ns/term per backend (bit-identity vs scalar) ---\n");
+  for (const AttendShape& shape : shapes) {
+    const std::size_t d_model = shape.heads * shape.d_head;
+    const std::size_t ctx = shape.ctx0 + shape.rows;
+    std::vector<float> v(ctx * d_model), p(shape.heads * shape.rows * ctx);
+    rng.fill_gaussian(v, 0.0, 1.0);
+    rng.fill_gaussian(p, 0.0, 2.0);
+    std::size_t terms = 0;
+    for (std::size_t r = 0; r < shape.heads * shape.rows; ++r) {
+      const std::size_t prefix = shape.ctx0 + r % shape.rows + 1;
+      tensor::softmax_inplace(std::span<float>(p.data() + r * ctx, prefix));
+      terms += prefix * shape.d_head;
+    }
+    const auto run = [&](const kernels::KernelTable& table,
+                         std::vector<float>& out) {
+      std::fill(out.begin(), out.end(), 0.0f);
+      for (std::size_t h = 0; h < shape.heads; ++h) {
+        table.attend(shape.rows, shape.ctx0, shape.d_head,
+                     p.data() + h * shape.rows * ctx, ctx,
+                     v.data() + h * shape.d_head, d_model,
+                     out.data() + h * shape.d_head, d_model);
+      }
+    };
+    std::vector<float> expected(shape.rows * d_model);
+    run(kernels::scalar_kernels(), expected);
+
+    common::Json::Object ns_per_term;
+    double scalar_ns = 0.0, active_ns = 0.0;
+    std::string line;
+    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
+      std::vector<float> out(expected.size());
+      run(*table, out);
+      if (std::memcmp(out.data(), expected.data(),
+                      out.size() * sizeof(float)) != 0) {
+        std::fprintf(stderr, "FAIL: attend %s on %s differs from scalar\n",
+                     shape.name, table->name);
+        section.bit_identical = false;
+      }
+      const double ns = time_ns_per_element(
+          [&] {
+            run(*table, out);
+            sink(out[0]);
+          },
+          terms, target_ms);
+      ns_per_term[table->name] = ns;
+      if (table == &kernels::scalar_kernels()) scalar_ns = ns;
+      if (table == &kernels::active()) active_ns = ns;
+      char cell[64];
+      std::snprintf(cell, sizeof(cell), "  %s %6.3f", table->name, ns);
+      line += cell;
+    }
+    const double speedup = active_ns > 0.0 ? scalar_ns / active_ns : 0.0;
+    common::Json::Object entry;
+    entry["shape"] = shape.name;
+    entry["rows"] = shape.rows;
+    entry["ctx0"] = shape.ctx0;
+    entry["heads"] = shape.heads;
+    entry["d_head"] = shape.d_head;
+    entry["ns_per_term"] = ns_per_term;
+    entry["speedup_vs_scalar"] = speedup;
+    section.entries.push_back(entry);
+    if (shape.ctx0 == 0) section.speedup_prefill = speedup;
+    std::printf("%-7s rows=%3zu ctx0=%2zu ns/term:%s  (%s %5.2fx scalar)\n",
+                shape.name, shape.rows, shape.ctx0, line.c_str(),
+                kernels::active_name(), speedup);
+  }
+  return section;
+}
+
 /// Runs the dispatched gelu and the scalar reference over all 2^32 float
 /// bit patterns on `threads` workers and returns how many outputs differ
 /// (NaN matches any NaN: the payload is outside the contract).
@@ -411,6 +512,10 @@ int main(int argc, char** argv) {
   cli.add_flag("gelu-all-inputs", "0",
                "check the dispatched gelu kernel against scalar on all 2^32 "
                "float inputs (up to 4 threads) and fail on any difference");
+  cli.add_flag("min-attend-speedup", "0",
+               "fail unless the dispatched attend kernel on the 192-token "
+               "prefill shape beats the scalar reference by this factor "
+               "(0 disables)");
   cli.add_flag("json", "", "write the report as JSON to this path");
   cli.add_flag("tune", "0",
                "run the autotune sweep: per (d, rows) cell compare the static "
@@ -690,6 +795,7 @@ int main(int argc, char** argv) {
 
   const LinearSection linear = run_linear_section(target_ms);
   const GeluSection gelu = run_gelu_section(target_ms);
+  const AttendSection attend = run_attend_section(target_ms);
   const bool gelu_all_inputs = cli.get_bool("gelu-all-inputs");
   std::uint64_t gelu_all_mismatches = 0;
   if (gelu_all_inputs) {
@@ -729,6 +835,9 @@ int main(int argc, char** argv) {
   doc["gelu_speedup_1040x512"] = gelu.speedup;
   doc["gelu_bit_identical"] = gelu.bit_identical;
   if (gelu_all_inputs) doc["gelu_all_inputs_mismatches"] = gelu_all_mismatches;
+  doc["attend"] = attend.entries;
+  doc["attend_speedup_prefill"] = attend.speedup_prefill;
+  doc["attend_bit_identical"] = attend.bit_identical;
   if (tune) doc["tune"] = tune_doc;
 
   const std::string json_path = cli.get("json");
@@ -772,6 +881,15 @@ int main(int argc, char** argv) {
                  "FAIL: dispatched gelu on 1040x512 is %.2fx scalar "
                  "(< required %.2fx)\n",
                  gelu.speedup, min_gelu_speedup);
+    return 1;
+  }
+  if (!attend.bit_identical) return 1;
+  const double min_attend_speedup = cli.get_double("min-attend-speedup");
+  if (min_attend_speedup > 0.0 && attend.speedup_prefill < min_attend_speedup) {
+    std::fprintf(stderr,
+                 "FAIL: dispatched attend on the prefill shape is %.2fx scalar "
+                 "(< required %.2fx)\n",
+                 attend.speedup_prefill, min_attend_speedup);
     return 1;
   }
   if (!tune_ok) return 1;

@@ -7,8 +7,8 @@
 // reassociate relative to the scalar reference; elementwise kernels perform
 // the same rounding steps as scalar and are bit-identical except where the
 // header's tolerance contract says otherwise (FP16 NaN payloads). The
-// projection kernel (linear_x86.hpp) and the GELU kernel (gelu_x86.hpp) are
-// bit-identical to scalar.
+// projection kernel (linear_x86.hpp), the GELU kernel (gelu_x86.hpp) and the
+// attention context kernel (attend_x86.hpp) are bit-identical to scalar.
 #include "kernels/backends.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "kernels/attend_x86.hpp"
 #include "kernels/gelu_x86.hpp"
 #include "kernels/linear_x86.hpp"
 
@@ -425,6 +426,7 @@ constexpr KernelTable kAvx2Table = {
     quantize_dequantize_rows_avx2,
     linear_x86<2>,
     gelu_x86,
+    attend_x86,
 };
 
 // Variant tables share every per-row kernel with the base; only the
@@ -447,6 +449,7 @@ constexpr KernelTable kAvx2PfTable = {
     quantize_dequantize_rows_avx2,
     linear_x86<2>,
     gelu_x86,
+    attend_x86,
 };
 
 constexpr KernelTable kAvx2NtTable = {
@@ -465,6 +468,7 @@ constexpr KernelTable kAvx2NtTable = {
     quantize_dequantize_rows_avx2,
     linear_x86<2>,
     gelu_x86,
+    attend_x86,
 };
 
 constexpr KernelTable kAvx2NtPfTable = {
@@ -483,6 +487,7 @@ constexpr KernelTable kAvx2NtPfTable = {
     quantize_dequantize_rows_avx2,
     linear_x86<2>,
     gelu_x86,
+    attend_x86,
 };
 
 constexpr const KernelTable* kAvx2Variants[] = {&kAvx2PfTable, &kAvx2NtTable,

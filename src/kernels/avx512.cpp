@@ -13,8 +13,9 @@
 // reassociate relative to the scalar reference; elementwise kernels perform
 // the same rounding steps as scalar and are bit-identical except where the
 // header's tolerance contract says otherwise (FP16 NaN payloads). The
-// projection kernel (linear_x86.hpp) and the GELU kernel (gelu_x86.hpp) run
-// 256-bit lanes and are bit-identical to scalar.
+// projection kernel (linear_x86.hpp), the GELU kernel (gelu_x86.hpp) and the
+// attention context kernel (attend_x86.hpp) run 256-bit lanes and are
+// bit-identical to scalar.
 //
 // The row-block kernels come in prefetch (template kPF) and nontemporal
 // (template kNT) flavours exported as the "avx512-pf"/"-nt"/"-ntpf" variant
@@ -33,6 +34,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "kernels/attend_x86.hpp"
 #include "kernels/gelu_x86.hpp"
 #include "kernels/linear_x86.hpp"
 
@@ -480,6 +482,7 @@ constexpr KernelTable kAvx512Table = {
     quantize_dequantize_rows_avx512,
     linear_x86<4>,
     gelu_x86,
+    attend_x86,
 };
 
 // Variant tables share every per-row kernel with the base; only the
@@ -502,6 +505,7 @@ constexpr KernelTable kAvx512PfTable = {
     quantize_dequantize_rows_avx512,
     linear_x86<4>,
     gelu_x86,
+    attend_x86,
 };
 
 constexpr KernelTable kAvx512NtTable = {
@@ -520,6 +524,7 @@ constexpr KernelTable kAvx512NtTable = {
     quantize_dequantize_rows_avx512,
     linear_x86<4>,
     gelu_x86,
+    attend_x86,
 };
 
 constexpr KernelTable kAvx512NtPfTable = {
@@ -538,6 +543,7 @@ constexpr KernelTable kAvx512NtPfTable = {
     quantize_dequantize_rows_avx512,
     linear_x86<4>,
     gelu_x86,
+    attend_x86,
 };
 
 constexpr const KernelTable* kAvx512Variants[] = {

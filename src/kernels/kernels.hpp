@@ -1,16 +1,17 @@
 // Runtime-dispatched kernels: the vectorized hot loops behind every norm,
-// every projection and the MLP activation in the repo. One KernelTable per
-// backend (portable scalar, AVX2, AVX-512, NEON); dispatch picks the widest
-// backend the CPU supports once at first use, with `HAAN_FORCE_SCALAR=1`
-// forcing the scalar reference.
+// every projection, the MLP activation and the attention context sum in the
+// repo. One KernelTable per backend (portable scalar, AVX2, AVX-512, NEON);
+// dispatch picks the widest backend the CPU supports once at first use, with
+// `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
 //
 // The scalar backend is the semantic reference: it reproduces the seed
 // `tensor::norm_ref` / `core::subsample` / `tensor::linear` /
-// `tensor::gelu_inplace` arithmetic bit for bit (same accumulation order,
-// same double intermediates, same float rounding points). SIMD backends are
-// tested against it under the per-kernel tolerance contract documented on
-// each KernelTable entry; `linear` and `gelu` are not under that contract
-// but bit-identical in every backend (see their entries).
+// `tensor::gelu_inplace` / attention `p · V` arithmetic bit for bit (same
+// accumulation order, same double intermediates, same float rounding
+// points). SIMD backends are tested against it under the per-kernel
+// tolerance contract documented on each KernelTable entry; `linear`, `gelu`
+// and `attend` are not under that contract but bit-identical in every
+// backend (see their entries).
 #pragma once
 
 #include <cstddef>
@@ -163,6 +164,26 @@ struct KernelTable {
   /// multiply into an add. NaN inputs give NaN in every backend; the payload
   /// bits may differ, as for `linear`.
   void (*gelu)(float* x, std::size_t n);
+
+  // --- Attention context kernel ----------------------------------------
+
+  /// Causal attention context sum p · V of one head over strided row-major
+  /// views: for i in [0, rows) and c in [0, d_head),
+  ///   out[i*ldo + c] += p[i*ldp + j] * v[j*ldv + c]
+  /// for j = 0, 1, ..., ctx0 + i in ascending order, one float multiply then
+  /// one float add per step (never fused), skipping every j whose
+  /// p[i*ldp + j] == 0.0f (+0 and -0 alike), so a skipped v row is never
+  /// read into the sum. Row i reads p only on its causal prefix
+  /// [0, ctx0 + i]; ldp >= ctx0 + rows, ldv and ldo >= d_head. out must not
+  /// alias p or v.
+  ///
+  /// Bit-identical in every backend, not tolerance-equal: SIMD backends
+  /// vectorize across c (each lane owns one column's whole chain) and never
+  /// across j. NaN results are NaN in every backend; their payload bits may
+  /// differ, as for `linear`.
+  void (*attend)(std::size_t rows, std::size_t ctx0, std::size_t d_head,
+                 const float* p, std::size_t ldp, const float* v,
+                 std::size_t ldv, float* out, std::size_t ldo);
 };
 
 /// Maps an empty span to the nullptr the kernel tables use for "no affine

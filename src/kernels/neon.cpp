@@ -2,8 +2,9 @@
 // feature check is needed; the dispatcher uses this table whenever the build
 // targets aarch64 and scalar is not forced. Mirrors the AVX2 backend: double
 // accumulators for reductions, elementwise kernels bit-identical to scalar
-// under the header's tolerance contract, and projection and GELU kernels that
-// are bit-identical to scalar (see KernelTable::linear and ::gelu).
+// under the header's tolerance contract, and projection, GELU and attention
+// context kernels that are bit-identical to scalar (see KernelTable::linear,
+// ::gelu and ::attend).
 #include "kernels/backends.hpp"
 
 #if defined(__aarch64__)
@@ -477,6 +478,64 @@ void gelu_neon(float* x, std::size_t n) {
   }
 }
 
+// Attention context: attend_x86.hpp's layout at 4 lanes. Each row keeps up
+// to kAttendVecs x 4 columns in registers and walks j in ascending order,
+// one multiply and one add per step (the TU builds with -ffp-contract=off);
+// a column tail of fewer than 4 runs the scalar reference's loop.
+constexpr std::size_t kAttendVecs = 4;
+
+template <std::size_t kVecs>
+void attend_block_neon(const float* p, std::size_t ctx, const float* v,
+                       std::size_t ldv, float* out) {
+  float32x4_t acc[kVecs];
+  for (std::size_t k = 0; k < kVecs; ++k) acc[k] = vld1q_f32(out + 4 * k);
+  for (std::size_t j = 0; j < ctx; ++j) {
+    if (p[j] == 0.0f) continue;
+    const float32x4_t pj = vdupq_n_f32(p[j]);
+    const float* vj = v + j * ldv;
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      acc[k] = vaddq_f32(acc[k], vmulq_f32(pj, vld1q_f32(vj + 4 * k)));
+    }
+  }
+  for (std::size_t k = 0; k < kVecs; ++k) vst1q_f32(out + 4 * k, acc[k]);
+}
+
+void attend_neon(std::size_t rows, std::size_t ctx0, std::size_t d_head,
+                 const float* p, std::size_t ldp, const float* v,
+                 std::size_t ldv, float* out, std::size_t ldo) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* p_row = p + i * ldp;
+    float* out_row = out + i * ldo;
+    const std::size_t ctx = ctx0 + i + 1;
+    std::size_t c = 0;
+    for (; c + 4 * kAttendVecs <= d_head; c += 4 * kAttendVecs) {
+      attend_block_neon<kAttendVecs>(p_row, ctx, v + c, ldv, out_row + c);
+    }
+    switch ((d_head - c) / 4) {
+      case 3:
+        attend_block_neon<3>(p_row, ctx, v + c, ldv, out_row + c);
+        c += 12;
+        break;
+      case 2:
+        attend_block_neon<2>(p_row, ctx, v + c, ldv, out_row + c);
+        c += 8;
+        break;
+      case 1:
+        attend_block_neon<1>(p_row, ctx, v + c, ldv, out_row + c);
+        c += 4;
+        break;
+      default:
+        break;
+    }
+    for (std::size_t j = 0; c < d_head && j < ctx; ++j) {
+      const float pj = p_row[j];
+      if (pj == 0.0f) continue;
+      const float* v_row = v + j * ldv;
+      for (std::size_t t = c; t < d_head; ++t) out_row[t] += pj * v_row[t];
+    }
+  }
+}
+
 constexpr KernelTable kNeonTable = {
     "neon",
     stats_neon,
@@ -493,6 +552,7 @@ constexpr KernelTable kNeonTable = {
     quantize_dequantize_rows_neon,
     linear_neon,
     gelu_neon,
+    attend_neon,
 };
 
 }  // namespace

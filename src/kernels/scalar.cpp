@@ -1,11 +1,12 @@
 // Portable scalar backend: the bit-exact reference every SIMD backend is
 // tested against. The loop bodies reproduce the seed's `tensor::norm_ref`,
-// `core::subsample`, `tensor::linear` and `tensor::gelu_inplace` arithmetic
-// exactly — same accumulation order, same double intermediates, same float
-// rounding points — so HAAN_FORCE_SCALAR=1 runs are bit-identical to the
-// pre-kernel-layer implementation. GELU's tanh is an in-repo port of fdlibm's
-// tanhf (tanh_ref below), which gives glibc 2.36's std::tanh bits on every
-// float input, so the reference does not depend on the platform's libm.
+// `core::subsample`, `tensor::linear`, `tensor::gelu_inplace` and attention
+// `p · V` arithmetic exactly — same accumulation order, same double
+// intermediates, same float rounding points — so HAAN_FORCE_SCALAR=1 runs are
+// bit-identical to the pre-kernel-layer implementation. GELU's tanh is an
+// in-repo port of fdlibm's tanhf (tanh_ref below), which gives glibc 2.36's
+// std::tanh bits on every float input, so the reference does not depend on
+// the platform's libm.
 #include "kernels/kernels.hpp"
 
 #include <algorithm>
@@ -242,6 +243,21 @@ void gelu_scalar(float* x, std::size_t n) {
   }
 }
 
+void attend_scalar(std::size_t rows, std::size_t ctx0, std::size_t d_head,
+                   const float* p, std::size_t ldp, const float* v,
+                   std::size_t ldv, float* out, std::size_t ldo) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* p_row = p + i * ldp;
+    float* out_row = out + i * ldo;
+    for (std::size_t j = 0; j <= ctx0 + i; ++j) {
+      const float pj = p_row[j];
+      if (pj == 0.0f) continue;
+      const float* v_row = v + j * ldv;
+      for (std::size_t c = 0; c < d_head; ++c) out_row[c] += pj * v_row[c];
+    }
+  }
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",
     stats_scalar,
@@ -258,6 +274,7 @@ constexpr KernelTable kScalarTable = {
     quantize_dequantize_rows_scalar,
     linear_scalar,
     gelu_scalar,
+    attend_scalar,
 };
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -37,6 +36,37 @@ void causal_head_scores(const float* q, const float* k, std::size_t ld,
   }
 }
 
+/// Causal attention of every head for `rows` query rows at absolute
+/// positions [start, start + rows) over K/V rows [0, start + rows): context
+/// row i, head h, gets softmax(scale * q_i . k_j) . v_j over j in
+/// [0, start + i], all views d_head-long slices of d_model-strided rows.
+/// Scores go through the projection kernel, each row's causal prefix through
+/// tensor::softmax_inplace and the context sum through the attend kernel,
+/// so one-shot and cached attention share every operation. `context` must be
+/// zeroed (attend accumulates into it).
+void causal_attention(const float* q, const float* k, const float* v,
+                      std::size_t d_model, std::size_t n_heads,
+                      std::size_t rows, std::size_t start, float* context) {
+  const std::size_t d_head = d_model / n_heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
+  const std::size_t max_ctx = start + rows;
+  // Row i's scores over the K rows; entries past its causal prefix are
+  // unspecified and never read.
+  std::vector<float> scores(rows * max_ctx);
+  const kernels::KernelTable& table = kernels::active();
+  for (std::size_t h = 0; h < n_heads; ++h) {
+    const std::size_t off = h * d_head;
+    causal_head_scores(q + off, k + off, d_model, d_head, rows, start, scale,
+                       scores.data(), max_ctx);
+    for (std::size_t i = 0; i < rows; ++i) {
+      tensor::softmax_inplace(
+          std::span<float>(scores.data() + i * max_ctx, start + i + 1));
+    }
+    table.attend(rows, start, d_head, scores.data(), max_ctx, v + off,
+                 d_model, context + off, d_model);
+  }
+}
+
 }  // namespace
 
 tensor::Tensor multi_head_attention(const tensor::Tensor& x, const BlockWeights& block,
@@ -45,33 +75,14 @@ tensor::Tensor multi_head_attention(const tensor::Tensor& x, const BlockWeights&
   const std::size_t seq_len = x.shape().dim(0);
   const std::size_t d_model = x.shape().dim(1);
   HAAN_EXPECTS(d_model % n_heads == 0);
-  const std::size_t d_head = d_model / n_heads;
 
   const tensor::Tensor q = tensor::linear(x, block.wq, {});
   const tensor::Tensor k = tensor::linear(x, block.wk, {});
   const tensor::Tensor v = tensor::linear(x, block.wv, {});
 
   tensor::Tensor context(tensor::Shape{seq_len, d_model});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-
-  for (std::size_t h = 0; h < n_heads; ++h) {
-    const std::size_t off = h * d_head;
-    // scores = Q_h K_h^T, causal-masked softmax, then scores V_h.
-    tensor::Tensor scores(tensor::Shape{seq_len, seq_len});
-    causal_head_scores(q.data().data() + off, k.data().data() + off, d_model,
-                       d_head, seq_len, /*start=*/0, scale,
-                       scores.data().data(), seq_len);
-    tensor::causal_softmax(scores);
-    for (std::size_t i = 0; i < seq_len; ++i) {
-      const auto out_row = context.row(i).subspan(off, d_head);
-      for (std::size_t j = 0; j <= i; ++j) {
-        const float p = scores.at(i, j);
-        if (p == 0.0f) continue;
-        const auto vj = v.row(j).subspan(off, d_head);
-        for (std::size_t c = 0; c < d_head; ++c) out_row[c] += p * vj[c];
-      }
-    }
-  }
+  causal_attention(q.data().data(), k.data().data(), v.data().data(), d_model,
+                   n_heads, seq_len, /*start=*/0, context.data().data());
   return tensor::linear(context, block.wo, {});
 }
 
@@ -87,7 +98,6 @@ tensor::Tensor multi_head_attention_cached(const tensor::Tensor& x_new,
   HAAN_EXPECTS(cache.valid() && cache.d_model() == d_model);
   HAAN_EXPECTS(block_index < cache.blocks());
   HAAN_EXPECTS(cache.rows(block_index) == start_position);
-  const std::size_t d_head = d_model / n_heads;
 
   const tensor::Tensor q = tensor::linear(x_new, block.wq, {});
   {
@@ -95,46 +105,13 @@ tensor::Tensor multi_head_attention_cached(const tensor::Tensor& x_new,
     const tensor::Tensor v_new = tensor::linear(x_new, block.wv, {});
     cache.append(block_index, k_new.data(), v_new.data());
   }
-  const std::span<const float> k_all = cache.k(block_index);
-  const std::span<const float> v_all = cache.v(block_index);
 
+  // New row i is absolute token start_position + i: it attends over the
+  // causal prefix [0, start_position + i] of the cached K/V rows.
   tensor::Tensor context(tensor::Shape{rows, d_model});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-  // Row i's scores over the cached K rows (stride d_model in the cache).
-  const std::size_t max_ctx = start_position + rows;
-  std::vector<float> score_block(rows * max_ctx);
-
-  for (std::size_t h = 0; h < n_heads; ++h) {
-    const std::size_t off = h * d_head;
-    causal_head_scores(q.data().data() + off, k_all.data() + off, d_model,
-                       d_head, rows, start_position, scale, score_block.data(),
-                       max_ctx);
-    for (std::size_t i = 0; i < rows; ++i) {
-      // New row i is absolute token start_position + i: it attends over the
-      // causal prefix [0, ctx) of the cached K/V rows.
-      const std::size_t ctx = start_position + i + 1;
-      float* scores = score_block.data() + i * max_ctx;
-      // Stable softmax over the prefix, in causal_softmax's arithmetic order.
-      float max_v = -std::numeric_limits<float>::infinity();
-      for (std::size_t j = 0; j < ctx; ++j) max_v = std::max(max_v, scores[j]);
-      double sum = 0.0;
-      for (std::size_t j = 0; j < ctx; ++j) {
-        scores[j] = std::exp(scores[j] - max_v);
-        sum += scores[j];
-      }
-      HAAN_ASSERT(sum > 0.0);
-      for (std::size_t j = 0; j < ctx; ++j) {
-        scores[j] = static_cast<float>(scores[j] / sum);
-      }
-      const auto out_row = context.row(i).subspan(off, d_head);
-      for (std::size_t j = 0; j < ctx; ++j) {
-        const float p = scores[j];
-        if (p == 0.0f) continue;
-        const auto vj = v_all.subspan(j * d_model + off, d_head);
-        for (std::size_t c = 0; c < d_head; ++c) out_row[c] += p * vj[c];
-      }
-    }
-  }
+  causal_attention(q.data().data(), cache.k(block_index).data(),
+                   cache.v(block_index).data(), d_model, n_heads, rows,
+                   start_position, context.data().data());
   return tensor::linear(context, block.wo, {});
 }
 

@@ -23,21 +23,22 @@ Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
   return y;
 }
 
+void softmax_inplace(std::span<float> values) {
+  float max_v = -std::numeric_limits<float>::infinity();
+  for (const float v : values) max_v = std::max(max_v, v);
+  double sum = 0.0;
+  for (float& v : values) {
+    v = std::exp(v - max_v);
+    sum += v;
+  }
+  HAAN_ASSERT(sum > 0.0);
+  for (float& v : values) v = static_cast<float>(v / sum);
+}
+
 void softmax_rows(Tensor& t) {
   HAAN_EXPECTS(t.shape().rank() == 2);
   const std::size_t rows = t.shape().dim(0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    auto row = t.row(r);
-    float max_v = -std::numeric_limits<float>::infinity();
-    for (const float v : row) max_v = std::max(max_v, v);
-    double sum = 0.0;
-    for (float& v : row) {
-      v = std::exp(v - max_v);
-      sum += v;
-    }
-    HAAN_ASSERT(sum > 0.0);
-    for (float& v : row) v = static_cast<float>(v / sum);
-  }
+  for (std::size_t r = 0; r < rows; ++r) softmax_inplace(t.row(r));
 }
 
 void causal_softmax(Tensor& scores) {
@@ -45,21 +46,9 @@ void causal_softmax(Tensor& scores) {
   HAAN_EXPECTS(scores.shape().dim(0) == scores.shape().dim(1));
   const std::size_t n = scores.shape().dim(0);
   for (std::size_t i = 0; i < n; ++i) {
-    auto row = scores.row(i);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      row[j] = -std::numeric_limits<float>::infinity();
-    }
-    // Stable softmax over the unmasked prefix [0, i].
-    float max_v = -std::numeric_limits<float>::infinity();
-    for (std::size_t j = 0; j <= i; ++j) max_v = std::max(max_v, row[j]);
-    double sum = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) {
-      row[j] = std::exp(row[j] - max_v);
-      sum += row[j];
-    }
-    HAAN_ASSERT(sum > 0.0);
-    for (std::size_t j = 0; j <= i; ++j) row[j] = static_cast<float>(row[j] / sum);
-    for (std::size_t j = i + 1; j < n; ++j) row[j] = 0.0f;
+    const auto row = scores.row(i);
+    softmax_inplace(row.first(i + 1));
+    std::ranges::fill(row.subspan(i + 1), 0.0f);
   }
 }
 

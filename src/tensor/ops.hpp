@@ -19,11 +19,19 @@ namespace haan::tensor {
 /// every SIMD backend give the same bits.
 Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias);
 
+/// In-place numerically stable softmax over `values`, the one softmax every
+/// caller shares: max in float, exp(v - max) in float via libm, a serial
+/// double sum in ascending order, then each value divided by the sum in
+/// double and rounded to float. Causal attention applies it to each row's
+/// unmasked prefix.
+void softmax_inplace(std::span<float> values);
+
 /// In-place numerically stable softmax over the last axis of a rank-2 tensor.
 void softmax_rows(Tensor& t);
 
-/// In-place scaled masked causal softmax for attention scores (rank-2,
-/// square): entry (i, j) with j > i is masked to -inf before softmax.
+/// In-place masked causal softmax for attention scores (rank-2, square):
+/// row i is softmax_inplace over its prefix [0, i]; entries (i, j) with
+/// j > i become 0.
 void causal_softmax(Tensor& scores);
 
 /// Elementwise GELU (tanh approximation, as used by GPT-2 / OPT). A thin

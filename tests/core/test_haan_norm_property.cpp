@@ -1,15 +1,36 @@
 // Randomized semantic properties of the HAAN normalization operator.
+//
+// The sweeps draw hundreds of distinct row widths, and the default safe-mode
+// autotuner would measure each one on first use (seconds of tuning for a
+// test of normalization properties, not of tuning). The binary therefore
+// runs with HAAN_AUTOTUNE=0, so every provider uses the static dispatch
+// table; the kernels_, serve_ and other core_ tests keep exercising the
+// tuner.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 
 #include "common/rng.hpp"
 #include "core/haan_norm.hpp"
+#include "kernels/autotune.hpp"
 #include "tensor/norm_ref.hpp"
 #include "tensor/ops.hpp"
 
 namespace haan::core {
 namespace {
+
+/// Pins the providers of this binary to the static dispatch table.
+class StaticKernelsEnvironment : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    ASSERT_EQ(::setenv("HAAN_AUTOTUNE", "0", 1), 0);
+    kernels::reset_autotune_for_testing();
+  }
+};
+
+const ::testing::Environment* const kStaticKernels =
+    ::testing::AddGlobalTestEnvironment(new StaticKernelsEnvironment);
 
 std::vector<float> random_vector(common::Rng& rng, std::size_t n) {
   std::vector<float> z(n);
